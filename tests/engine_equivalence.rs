@@ -202,6 +202,31 @@ fn churned_zero_energy_runs_are_engine_equivalent() {
     assert_eq!(groups.len(), 2);
 }
 
+#[test]
+fn duty_aware_pricing_runs_are_engine_equivalent() {
+    // TX power control with the duty-aware refinement prices each broadcast by its
+    // farthest receiver that is awake at the delivery instant. A 1 s schedule at half
+    // awake makes that pricing set differ from the receiver set on most broadcasts, and
+    // finite batteries with idle drain let the different prices show in the report.
+    let mut s = exact_physics_scenario().with_duty_cycle(1.0, 0.5).with_battery_capacity(5.0);
+    s.lifecycle = s
+        .lifecycle
+        .with_idle_power(2e-3, 1e-4)
+        .with_tx_power_control(true)
+        .with_duty_aware_pricing(true);
+    let plan = |_: &Scenario| FaultPlan::new();
+    for kind in [
+        ProtocolKind::DcaForward,
+        ProtocolKind::MemTree,
+        ProtocolKind::SsSpst(MetricKind::EnergyAware),
+        ProtocolKind::Flooding,
+    ] {
+        let report = assert_engine_equivalent(&s, kind, &plan, kind.name());
+        assert!(report.generated > 100, "{}: CBR must generate traffic", kind.name());
+        assert!(report.lifetime.is_some(), "{}: finite batteries track lifetime", kind.name());
+    }
+}
+
 /// Run `scenario` through the normal spec-driven runner (faults seeded from
 /// `scenario.faults`, hence *probed*). `shards == 0` selects the sequential engine.
 fn run_spec(scenario: &Scenario, kind: ProtocolKind, shards: u32) -> SimReport {
