@@ -1,11 +1,8 @@
-//! Event identities and heap entries.
-
-use crate::time::SimTime;
-use std::cmp::Ordering;
+//! Event identities.
 
 /// Opaque handle to a scheduled event, usable to cancel it before it fires.
 ///
-/// Identifiers are unique within one [`crate::EventQueue`] / [`crate::Simulator`] and are
+/// Identifiers are unique within one [`crate::KeyedQueue`] / [`crate::Simulator`] and are
 /// never reused.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct EventId(pub(crate) u64);
@@ -14,57 +11,5 @@ impl EventId {
     /// The raw sequence number backing this identifier.
     pub fn raw(self) -> u64 {
         self.0
-    }
-}
-
-/// A (time, sequence, payload) entry in the future-event list.
-///
-/// Ordering is by time first and insertion sequence second, so events scheduled for the
-/// same instant fire in schedule order — this is what makes runs reproducible.
-#[derive(Debug)]
-pub(crate) struct ScheduledEvent<E> {
-    pub time: SimTime,
-    pub id: EventId,
-    pub payload: E,
-}
-
-impl<E> PartialEq for ScheduledEvent<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.id == other.id
-    }
-}
-
-impl<E> Eq for ScheduledEvent<E> {}
-
-impl<E> PartialOrd for ScheduledEvent<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for ScheduledEvent<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest event is popped first.
-        other.time.cmp(&self.time).then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn earlier_event_sorts_greater_for_max_heap() {
-        let a = ScheduledEvent { time: SimTime::from_secs(1), id: EventId(0), payload: () };
-        let b = ScheduledEvent { time: SimTime::from_secs(2), id: EventId(1), payload: () };
-        // In max-heap order the earlier event must compare as "greater".
-        assert!(a > b);
-    }
-
-    #[test]
-    fn same_time_orders_by_insertion_sequence() {
-        let a = ScheduledEvent { time: SimTime::from_secs(1), id: EventId(0), payload: () };
-        let b = ScheduledEvent { time: SimTime::from_secs(1), id: EventId(1), payload: () };
-        assert!(a > b, "earlier-scheduled event must pop first");
     }
 }

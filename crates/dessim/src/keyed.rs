@@ -1,11 +1,10 @@
-//! A future-event list ordered by a caller-supplied key instead of insertion order.
+//! The future-event list: events ordered by `(time, key)`, with a caller-supplied key.
 //!
-//! [`EventQueue`](crate::EventQueue) breaks timestamp ties by insertion sequence, which
-//! makes the pop order depend on *when* events were scheduled. A parallel engine that
-//! merges events produced concurrently by several workers cannot reproduce one global
-//! insertion order, so it needs tie-breaking that is a pure function of the event itself.
-//! [`KeyedQueue`] orders events by `(time, key)` where the key is supplied by the caller
-//! at push time — identical event sets pop identically no matter who pushed them first.
+//! A parallel engine that merges events produced concurrently by several workers cannot
+//! reproduce one global insertion order, so it needs tie-breaking that is a pure function
+//! of the event itself: identical event sets pop identically no matter who pushed them
+//! first. With the unit key `()` the order is `(time, insertion sequence)` — the
+//! schedule-order tie-breaking of [`Simulator`](crate::Simulator).
 
 use crate::event::EventId;
 use crate::time::SimTime;
@@ -98,7 +97,10 @@ impl<K: Ord, E> KeyedQueue<K, E> {
         id
     }
 
-    /// Cancel a previously scheduled event. Returns `true` if it was still pending.
+    /// Cancel a pending event, returning `true` the first time `id` is cancelled. Only
+    /// *pending* ids may be cancelled: popped entries are not tracked, so cancelling one
+    /// would make [`Self::len`] undercount the live events (the runtime's timer map
+    /// only ever holds ids of timers that have not fired).
     pub fn cancel(&mut self, id: EventId) -> bool {
         if id.0 >= self.next_seq {
             return false;
@@ -191,6 +193,30 @@ mod tests {
         assert_eq!(q.len(), 2);
         let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
         assert_eq!(order, vec!["a", "c"]);
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn ties_pop_in_schedule_order() {
+        let mut q = KeyedQueue::new();
+        let t = SimTime::from_secs(1);
+        for i in 0..10 {
+            q.push(t, (), i);
+        }
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, _, p)| p).collect();
+        assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn len_tracks_live_events() {
+        let mut q = KeyedQueue::new();
+        let a = q.push(SimTime::from_secs(1), (), ());
+        q.push(SimTime::from_secs(2), (), ());
+        assert_eq!(q.len(), 2);
+        q.cancel(a);
+        assert_eq!(q.len(), 1);
+        q.pop();
+        assert_eq!(q.len(), 0);
         assert!(q.is_empty());
     }
 

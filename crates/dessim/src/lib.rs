@@ -6,13 +6,12 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer-nanosecond simulated time, totally ordered,
 //!   with convenient conversions from floating-point seconds.
-//! * [`EventQueue`] — a binary-heap future-event list with stable (time, sequence)
-//!   ordering and O(1) amortised cancellation.
-//! * [`KeyedQueue`] — the same structure with caller-keyed tie-breaking, so event order
-//!   is a pure function of the event set (the sharded runtime merges concurrently
-//!   produced events through it).
-//! * [`Simulator`] — the main loop: schedule events, pop them in time order, advance the
-//!   clock, and stop at a horizon or when the queue drains.
+//! * [`KeyedQueue`] — a binary-heap future-event list ordered by `(time, key)` with O(1)
+//!   amortised cancellation. Caller-keyed tie-breaking makes event order a pure function
+//!   of the event set (the sharded runtime merges concurrently produced events through
+//!   it); the unit key gives stable `(time, sequence)` order.
+//! * [`Simulator`] — the main loop over a unit-keyed queue: schedule events, pop them in
+//!   time order and advance the clock.
 //! * [`SeedSequence`] — reproducible derivation of independent RNG streams from a single
 //!   scenario seed, so simulations are replayable bit-for-bit.
 //!
@@ -44,14 +43,12 @@
 
 pub mod event;
 pub mod keyed;
-pub mod queue;
 pub mod rng;
 pub mod sim;
 pub mod time;
 
 pub use event::EventId;
 pub use keyed::KeyedQueue;
-pub use queue::EventQueue;
 pub use rng::SeedSequence;
-pub use sim::{RunOutcome, Simulator};
+pub use sim::Simulator;
 pub use time::{SimDuration, SimTime};

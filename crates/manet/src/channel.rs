@@ -70,6 +70,20 @@ impl Channel {
         self.session_collisions[session]
     }
 
+    /// Fold another replica of this channel into this one (the sharded engine keeps one
+    /// per shard, each touching only its own receivers): counters add up, and each
+    /// receiver stays busy until the later of the two horizons.
+    pub fn absorb(&mut self, other: &Channel) {
+        for (mine, theirs) in self.busy_until.iter_mut().zip(&other.busy_until) {
+            *mine = (*mine).max(*theirs);
+        }
+        self.receptions += other.receptions;
+        self.collisions += other.collisions;
+        for (mine, theirs) in self.session_collisions.iter_mut().zip(&other.session_collisions) {
+            *mine += theirs;
+        }
+    }
+
     /// True if `rx`'s radio is busy at `t`.
     pub fn is_busy(&self, rx: NodeId, t: SimTime) -> bool {
         self.busy_until[rx.index()] > t

@@ -7,9 +7,11 @@
 //! spatial stripes, each stripe's events drain on a worker thread, and shards advance in
 //! conservative lockstep windows bounded by the radio's minimum propagation delay.
 //! The sharded engine is deterministic and *shard-count invariant* — the same setup
-//! yields byte-identical reports at 1, 2 or 8 shards — but it is a different (documented)
-//! discretisation than the sequential loop, so the two modes are not byte-comparable to
-//! each other; see `EXPERIMENTS.md`.
+//! yields byte-identical reports at 1, 2 or 8 shards. Both engines run the same per-node
+//! semantics; the sharded one reads positions frozen per sync window, draws loss from
+//! per-sender streams and evaluates carrier capture at delivery (see `EXPERIMENTS.md`).
+//! On exact physics the two engines produce byte-identical reports
+//! (`tests/engine_equivalence.rs`).
 
 use serde::{Deserialize, Serialize};
 use ssmcast_dessim::SimDuration;

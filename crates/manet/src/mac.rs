@@ -235,6 +235,13 @@ pub trait MacPolicy: Send {
         let _ = stats;
     }
 
+    /// Fold another replica's policy counters into this one's: the sharded engine runs
+    /// one replica per shard and merges them when the run ends. The default keeps no
+    /// counters.
+    fn absorb(&mut self, other: &dyn MacPolicy) {
+        let _ = other;
+    }
+
     /// Short policy name for reports.
     fn label(&self) -> &'static str;
 }
@@ -359,7 +366,8 @@ pub struct SsTdma {
     own_busy_until: Vec<SimTime>,
     conflicts: u64,
     redraws: u64,
-    last_redraw: Option<SimTime>,
+    /// When the last re-draw happened, seconds.
+    last_redraw_s: Option<f64>,
 }
 
 impl SsTdma {
@@ -378,7 +386,7 @@ impl SsTdma {
             own_busy_until: vec![SimTime::ZERO; n_nodes],
             conflicts: 0,
             redraws: 0,
-            last_redraw: None,
+            last_redraw_s: None,
         }
     }
 
@@ -441,7 +449,7 @@ impl SsTdma {
             self.rngs[i].gen_range(0..s as u16)
         };
         self.redraws += 1;
-        self.last_redraw = Some(t);
+        self.last_redraw_s = Some(t.as_secs_f64());
     }
 }
 
@@ -525,7 +533,18 @@ impl MacPolicy for SsTdma {
     fn fill_stats(&self, stats: &mut MacStats) {
         stats.slot_conflicts = self.conflicts;
         stats.slot_redraws = self.redraws;
-        stats.slot_last_redraw_s = self.last_redraw.map(|t| t.as_secs_f64());
+        stats.slot_last_redraw_s = self.last_redraw_s;
+    }
+
+    fn absorb(&mut self, other: &dyn MacPolicy) {
+        let mut theirs = MacStats::empty(other.label());
+        other.fill_stats(&mut theirs);
+        self.conflicts += theirs.slot_conflicts;
+        self.redraws += theirs.slot_redraws;
+        self.last_redraw_s = match (self.last_redraw_s, theirs.slot_last_redraw_s) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
     }
 
     fn label(&self) -> &'static str {
@@ -696,7 +715,7 @@ mod tests {
         assert_eq!(policy.conflicts, 1);
         assert_eq!(policy.redraws, 1);
         assert_ne!(policy.slots[1], before, "the observed claim rules the old slot out");
-        assert_eq!(policy.last_redraw, Some(tx_start));
+        assert_eq!(policy.last_redraw_s, Some(tx_start.as_secs_f64()));
         let mut stats = MacStats::empty("ss-tdma");
         policy.fill_stats(&mut stats);
         assert_eq!(stats.slot_redraws, 1);

@@ -8,35 +8,32 @@
 //! attributed energy. A single-session setup reproduces the original runtime event for
 //! event (and byte for byte in its report).
 
-use crate::agent::{Action, Disposition, NodeCtx, ProtocolAgent};
-use crate::battery::{Battery, EnergyUse};
-use crate::channel::Channel;
+use crate::agent::ProtocolAgent;
+use crate::battery::Battery;
 use crate::energy::RadioConfig;
 use crate::engine::EngineConfig;
-use crate::faults::StabilizationObserver;
-use crate::faults::{FaultEvent, FaultKind, FaultPlan, ProbeContext, SessionProbe};
+use crate::faults::{FaultKind, FaultPlan, StabilizationObserver};
 use crate::geometry::Vec2;
 use crate::harvest::{HarvestConfig, HarvestPlan};
 use crate::lifecycle::{DutySchedule, LifecycleConfig};
-use crate::mac::{MacConfig, MacDecision, MacFrame, MacPolicy};
+use crate::mac::MacConfig;
 use crate::medium::{MediumConfig, RadioMedium};
 use crate::mobility::BoxedMobility;
 use crate::node::{GroupRole, NodeId};
 use crate::packet::{DataTag, Packet, PacketClass};
 use crate::report::{GroupAccounting, SimReport, Trace};
-use crate::session::{MembershipChange, MembershipEvent, SessionSetup};
+use crate::session::{MembershipChange, SessionSetup};
 use crate::silence::SilenceConfig;
 use crate::snapshot::TopologySnapshot;
 use crate::traffic::TrafficConfig;
-use rand::rngs::StdRng;
-use rand::Rng;
-use ssmcast_dessim::{RunOutcome, SeedSequence, SimDuration, SimTime, Simulator};
+use semantics::{observe, Curves, Key, NodeCore, ProbeScratch, Seam};
+use ssmcast_dessim::{EventId, SeedSequence, SimDuration, SimTime, Simulator};
 use ssmcast_metrics::{
-    CurveRing, EngineStats, LifetimeStats, MacStats, MetricsConfig, SessionSilence, SilenceStats,
+    EngineStats, LifetimeStats, MetricsConfig, SessionSilence, SilenceStats,
     RESIDUAL_HISTOGRAM_BINS,
 };
-use std::collections::HashMap;
 
+mod semantics;
 mod shard;
 
 /// Static setup for one simulation run.
@@ -166,7 +163,7 @@ impl SimSetup {
     }
 }
 
-/// Events flowing through the network simulation.
+/// Events flowing through the network simulation, on either engine.
 #[derive(Debug)]
 pub enum NetEvent<P> {
     /// A packet copy arrives at `rx`. `corrupted` receptions still cost energy but are not
@@ -178,11 +175,14 @@ pub enum NetEvent<P> {
         rx: NodeId,
         /// The frame.
         packet: Packet<P>,
-        /// Lost to noise or collision.
+        /// Lost when the frame left the sender: to channel noise and, on the sequential
+        /// engine (which evaluates carrier capture at send time), to collision.
         corrupted: bool,
-        /// Transmission start (drives TDMA slot learning at the receiver).
+        /// Transmission start (drives carrier capture and TDMA slot learning at the
+        /// receiver).
         tx_start: SimTime,
-        /// MAC state snapshotted at transmit time ([`MacPolicy::piggyback_row`]) and
+        /// MAC state snapshotted at transmit time
+        /// ([`crate::mac::MacPolicy::piggyback_row`]) and
         /// shared by every copy of the frame — TDMA's 2-hop claim table.
         piggyback: Option<std::sync::Arc<[u16]>>,
     },
@@ -213,8 +213,9 @@ pub enum NetEvent<P> {
         /// Join or leave.
         change: MembershipChange,
     },
-    /// An injected fault fires (see [`crate::faults`]).
-    Fault(FaultKind),
+    /// An injected fault fires (see [`crate::faults`]). The `u64` is the fault's index
+    /// in the plan; a crash-scheduled rejoin carries its crash's index.
+    Fault(FaultKind, u64),
     /// A depleted, energy-harvesting node has banked its wake threshold: recharge its
     /// battery and bring it back to life (see [`crate::harvest`]).
     HarvestWake {
@@ -222,115 +223,118 @@ pub enum NetEvent<P> {
         node: NodeId,
     },
     /// The MAC policy deferred a pending broadcast: retry channel access now.
-    MacRetry {
-        /// Session whose frame is pending.
-        session: u16,
-        /// The transmitting node.
-        sender: NodeId,
-        /// Control or data.
-        class: PacketClass,
-        /// Size on the wire, bytes.
-        size_bytes: u32,
-        /// Requested (already clamped) transmission range, metres.
-        range_m: f64,
-        /// Application-data tag, if the frame carries data.
-        data: Option<DataTag>,
-        /// Protocol payload, carried through the deferral.
-        payload: P,
-        /// Access attempt number (1 on the first retry).
-        attempt: u32,
-        /// When the protocol originally requested the broadcast (for access-delay
-        /// accounting).
-        requested_at: SimTime,
-    },
+    MacRetry(PendingFrame<P>),
+}
+
+/// A broadcast on its way through the MAC: requested by a protocol, not yet on the air.
+#[derive(Debug)]
+pub struct PendingFrame<P> {
+    /// Session whose frame is pending.
+    pub session: u16,
+    /// The transmitting node.
+    pub sender: NodeId,
+    /// Control or data.
+    pub class: PacketClass,
+    /// Size on the wire, bytes.
+    pub size_bytes: u32,
+    /// Requested transmission range, metres (clamped once the frame is deferred).
+    pub range_m: f64,
+    /// Application-data tag, if the frame carries data.
+    pub data: Option<DataTag>,
+    /// Protocol payload, carried through deferrals.
+    pub payload: P,
+    /// Access attempt number (0 on the protocol's request, 1 on the first retry).
+    pub attempt: u32,
+    /// When the protocol requested the broadcast (for access-delay accounting).
+    pub requested_at: SimTime,
 }
 
 /// A complete network simulation for one protocol.
 pub struct NetworkSim<A: ProtocolAgent> {
     sim: Simulator<NetEvent<A::Payload>>,
     setup: SimSetup,
-    /// One agent per (session, node), session-major: `agents[s * n_nodes + node]`.
-    agents: Vec<A>,
-    /// Current per-session membership tables, same layout as `agents`. Starts from the
-    /// sessions' initial roles and is updated by [`NetEvent::Membership`] churn.
-    memberships: Vec<GroupRole>,
-    /// Current receivers (members excluding the source) per session.
-    receiver_counts: Vec<u64>,
-    /// Join churn events applied per session.
-    joins: Vec<u64>,
-    /// Leave churn events applied per session.
-    leaves: Vec<u64>,
     medium: RadioMedium,
-    batteries: Vec<Battery>,
-    /// Energy attributed to each session's frames (tx + rx + overhear), joules. Every
-    /// radio consumption flows through exactly one session, so these sum to the
-    /// batteries' total minus fault-injected drain spikes (which are not radio
-    /// activity and belong to no session): the shared medium conserves energy across
-    /// sessions.
-    session_energy_j: Vec<f64>,
-    /// Overheard/discarded reception energy attributed to each session, joules.
-    session_overhear_j: Vec<f64>,
-    /// Per-node crash flag (driven by [`FaultKind::Crash`] / [`FaultKind::Rejoin`]).
-    crashed: Vec<bool>,
-    /// Materialised per-node duty-cycle schedule (always-awake when duty cycling is off).
-    duty: DutySchedule,
-    /// Per-node horizon up to which continuous idle/sleep drain has been accrued.
-    accrued_until: Vec<SimTime>,
-    /// First instant each node's battery was observed depleted. Without harvesting,
-    /// battery death is permanent; a harvest wake clears the entry again.
-    death_at: Vec<Option<SimTime>>,
-    /// Earliest depletion ever observed across the fleet — `first_death_s` must report
-    /// the first depletion even after a harvest wake clears `death_at`.
-    first_depletion: Option<SimTime>,
     /// Materialised per-node harvest rates (inert when harvesting is off).
     harvest: HarvestPlan,
-    /// Battery-alive node count at each lifetime sample epoch (bounded ring in
-    /// streaming mode, plain unbounded buffer in exact mode).
-    alive_curve: CurveRing<u64>,
-    /// Cumulative delivery ratio at each lifetime sample epoch.
-    delivery_curve: CurveRing<f64>,
-    rngs: Vec<StdRng>,
-    loss_rng: StdRng,
-    channel: Channel,
-    /// The medium-access policy built from the setup's [`MacConfig`].
-    mac: Box<dyn MacPolicy>,
-    /// Broadcast requests that reached the MAC (attempt 0, after liveness/blackout
-    /// filtering).
-    mac_requested: u64,
-    /// Frames the MAC actually put on the air.
-    mac_sent: u64,
-    /// Frames the MAC abandoned (retry cap exceeded).
-    mac_drops: u64,
-    /// MAC deferrals (each postponement of a pending frame counts once).
-    mac_deferrals: u64,
-    /// Sum of request-to-transmission delays over sent frames.
-    mac_access_delay: SimDuration,
-    /// Sum of transmit airtime over sent frames.
-    mac_airtime: SimDuration,
-    /// Pending timers keyed by (node, session, kind, key).
-    timers: HashMap<(u32, u16, u64, u64), ssmcast_dessim::EventId>,
-    /// Snapshot built for the latest probed instant, reused across the observer
-    /// notifications of a simultaneous fault burst (positions cannot change within one
-    /// timestamp, and a burst at n = 500 would otherwise rebuild the spatial index once
-    /// per corrupted node).
-    probe_snapshot: Option<(SimTime, TopologySnapshot)>,
-    /// One traffic trace per session.
-    traces: Vec<Trace>,
-    scratch_actions: Vec<Action<A::Payload>>,
-    scratch_receivers: Vec<NodeId>,
-    /// Probe-assembly scratch, reused across epochs (a fault burst at n = 100k would
-    /// otherwise allocate three fleet-sized vectors per probed instant).
-    probe_parents: Vec<Option<NodeId>>,
-    probe_alive: Vec<bool>,
-    probe_blacked: Vec<bool>,
-    /// Per-session recovery flag, refreshed from the observer after every epoch and
-    /// fault notification; drives the steady-vs-recovery control-byte split. All-false
-    /// (and the counters below unused) when beacon suppression is off.
-    session_recovering: Vec<bool>,
-    /// Per-session (packets, bytes) of control traffic sent while steady.
-    silence_steady: Vec<(u64, u64)>,
-    /// Per-session (packets, bytes) of control traffic sent while recovering.
-    silence_recovery: Vec<(u64, u64)>,
+    /// Every node's state and agents, indexed by node id. The sharded engine splits the
+    /// agents into per-shard cores for a run and merges the shards back at teardown.
+    core: NodeCore<A>,
+    curves: Curves,
+    probe: ProbeScratch,
+}
+
+/// The sequential engine's seam: one simulator queue in insertion order, the live radio
+/// medium, the global loss stream, capture at send time and per-session energy sums.
+struct Sequential<'a, P> {
+    sim: &'a mut Simulator<NetEvent<P>>,
+    medium: &'a mut RadioMedium,
+    setup: &'a SimSetup,
+    harvest: &'a HarvestPlan,
+}
+
+impl<'a, P> Seam<'a, P> for Sequential<'a, P> {
+    const PER_NODE_ENERGY: bool = false;
+    const PER_SENDER_LOSS: bool = false;
+    const CAPTURE_AT_DELIVERY: bool = false;
+
+    fn setup(&self) -> &'a SimSetup {
+        self.setup
+    }
+
+    fn harvest(&self) -> &'a HarvestPlan {
+        self.harvest
+    }
+
+    fn local(&self, node: NodeId) -> usize {
+        node.index()
+    }
+
+    fn shard(&self, _node: NodeId) -> usize {
+        0
+    }
+
+    fn schedule(&mut self, at: SimTime, _key: Key, ev: NetEvent<P>) -> EventId {
+        self.sim.schedule_at(at, ev)
+    }
+
+    fn cancel(&mut self, id: EventId) {
+        self.sim.cancel(id);
+    }
+
+    fn deliver(&mut self, at: SimTime, _key: Key, _rx: NodeId, ev: NetEvent<P>) {
+        self.sim.schedule_at(at, ev);
+    }
+
+    fn position(&mut self, node: NodeId, t: SimTime) -> Vec2 {
+        self.medium.position_of(node, t)
+    }
+
+    fn positions(&mut self, t: SimTime) -> &[Vec2] {
+        self.medium.positions(t)
+    }
+
+    fn is_blacked_out(&self, node: NodeId, t: SimTime) -> bool {
+        self.medium.is_blacked_out(node, t)
+    }
+
+    fn black_out(&mut self, node: NodeId, until: SimTime) {
+        self.medium.set_blackout(node, until);
+    }
+
+    fn receivers_within(
+        &mut self,
+        sender: NodeId,
+        center: Vec2,
+        range: f64,
+        t: SimTime,
+        out: &mut Vec<NodeId>,
+    ) {
+        self.medium.receivers_within(sender, center, range, t, out);
+    }
+
+    fn farthest_distance(&mut self, center: Vec2, ids: &[NodeId], t: SimTime) -> f64 {
+        self.medium.farthest_distance(center, ids, t)
+    }
 }
 
 impl<A: ProtocolAgent> NetworkSim<A> {
@@ -343,8 +347,6 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         assert!(n_sessions > 0, "at least one multicast session");
         assert_eq!(mobility.len(), n, "one mobility model per node");
         assert_eq!(agents.len(), n * n_sessions, "one agent per (session, node)");
-        let mut memberships = Vec::with_capacity(n * n_sessions);
-        let mut receiver_counts = Vec::with_capacity(n_sessions);
         for session in &setup.sessions {
             assert_eq!(session.roles.len(), n, "one role per node per session");
             assert!(session.traffic.source.index() < n, "traffic source must exist");
@@ -352,72 +354,37 @@ impl<A: ProtocolAgent> NetworkSim<A> {
                 matches!(session.roles[session.traffic.source.index()], GroupRole::Source),
                 "the session's source role must sit at its traffic source"
             );
-            memberships.extend_from_slice(&session.roles);
-            receiver_counts.push(session.initial_receivers());
         }
-        let batteries = vec![Battery::with_capacity(setup.battery_capacity_j); n];
-        let rngs = (0..n as u64).map(|i| setup.seeds.indexed_stream("protocol", i)).collect();
-        let loss_rng = setup.seeds.stream("channel-loss");
-        let traces = (0..n_sessions)
-            .map(|_| Trace::with_config(setup.unavailability_window, &setup.metrics))
-            .collect();
-        let medium = RadioMedium::new(mobility, setup.medium, setup.radio.max_range_m);
         let duty = DutySchedule::from_seeds(&setup.lifecycle.duty_cycle, n, &setup.seeds);
-        // A zero-capacity battery is depleted before the first event: record the death
-        // at time zero so lifetime metrics never censor an already-dead fleet.
-        let death_at: Vec<Option<SimTime>> =
-            batteries.iter().map(|b| b.is_depleted().then_some(SimTime::ZERO)).collect();
-        let first_depletion = death_at.iter().flatten().min().copied();
-        let harvest =
-            HarvestPlan::from_seeds(&setup.harvest, n, setup.battery_capacity_j, &setup.seeds);
-        let curve_budget = if setup.metrics.is_streaming() {
-            setup.metrics.streaming.curve_budget as usize
-        } else {
-            usize::MAX
-        };
-        let mac = setup.mac.build(n, &setup.seeds);
+        let core = NodeCore::new::<Sequential<'_, A::Payload>>(
+            &setup,
+            (0..n as u32).collect(),
+            agents,
+            duty,
+        );
         NetworkSim {
             sim: Simulator::with_capacity(1024),
-            channel: Channel::new(n, n_sessions),
-            mac,
-            mac_requested: 0,
-            mac_sent: 0,
-            mac_drops: 0,
-            mac_deferrals: 0,
-            mac_access_delay: SimDuration::ZERO,
-            mac_airtime: SimDuration::ZERO,
-            timers: HashMap::new(),
-            probe_snapshot: None,
-            scratch_actions: Vec::with_capacity(16),
-            scratch_receivers: Vec::with_capacity(16),
-            probe_parents: Vec::new(),
-            probe_alive: Vec::new(),
-            probe_blacked: Vec::new(),
-            crashed: vec![false; n],
-            duty,
-            accrued_until: vec![SimTime::ZERO; n],
-            death_at,
-            first_depletion,
-            harvest,
-            alive_curve: CurveRing::with_budget(curve_budget),
-            delivery_curve: CurveRing::with_budget(curve_budget),
-            session_energy_j: vec![0.0; n_sessions],
-            session_overhear_j: vec![0.0; n_sessions],
-            session_recovering: vec![false; n_sessions],
-            silence_steady: vec![(0, 0); n_sessions],
-            silence_recovery: vec![(0, 0); n_sessions],
-            joins: vec![0; n_sessions],
-            leaves: vec![0; n_sessions],
-            batteries,
-            rngs,
-            loss_rng,
-            traces,
-            memberships,
-            receiver_counts,
+            medium: RadioMedium::new(mobility, setup.medium, setup.radio.max_range_m),
+            harvest: HarvestPlan::from_seeds(
+                &setup.harvest,
+                n,
+                setup.battery_capacity_j,
+                &setup.seeds,
+            ),
+            curves: Curves::new(&setup),
+            probe: ProbeScratch::default(),
+            core,
             setup,
-            medium,
-            agents,
         }
+    }
+
+    /// The node core with the sequential seam over the rest of the simulation, plus the
+    /// probe buffers and lifetime curves.
+    fn parts(
+        &mut self,
+    ) -> (&mut NodeCore<A>, Sequential<'_, A::Payload>, &mut ProbeScratch, &mut Curves) {
+        let NetworkSim { sim, setup, medium, harvest, core, curves, probe } = self;
+        (core, Sequential { sim, medium, setup, harvest }, probe, curves)
     }
 
     /// Index of session `s`'s instance (or membership slot) at `node`.
@@ -439,23 +406,23 @@ impl<A: ProtocolAgent> NetworkSim<A> {
 
     /// Access a node's battery (for tests and the energy-budget example).
     pub fn battery(&self, n: NodeId) -> &Battery {
-        &self.batteries[n.index()]
+        &self.core.batteries[n.index()]
     }
 
     /// The protocol agent at `n` in the first session (the only session in single-group
     /// setups).
     pub fn agent(&self, n: NodeId) -> &A {
-        &self.agents[n.index()]
+        &self.core.agents[n.index()]
     }
 
     /// The protocol agent running session `session` at node `n`.
     pub fn agent_in(&self, session: usize, n: NodeId) -> &A {
-        &self.agents[self.idx(session, n)]
+        &self.core.agents[self.idx(session, n)]
     }
 
     /// Node `n`'s current role in `session` (membership churn applied).
     pub fn role_in(&self, session: usize, n: NodeId) -> GroupRole {
-        self.memberships[self.idx(session, n)]
+        self.core.memberships[self.idx(session, n)]
     }
 
     /// Total number of events processed so far.
@@ -465,92 +432,25 @@ impl<A: ProtocolAgent> NetworkSim<A> {
 
     /// True while node `n` is crashed by an injected fault.
     pub fn is_crashed(&self, n: NodeId) -> bool {
-        self.crashed[n.index()]
+        self.core.crashed[n.index()]
     }
 
     /// The instant node `n`'s battery was observed depleted, if it is currently dead.
     /// Without harvesting battery death is permanent: unlike a crash there is no
     /// rejoin. A harvest wake clears the entry.
     pub fn death_time(&self, n: NodeId) -> Option<SimTime> {
-        self.death_at[n.index()]
+        self.core.death_at[n.index()]
     }
 
     /// The materialised duty-cycle schedule driving this run's radios.
     pub fn duty_schedule(&self) -> &DutySchedule {
-        &self.duty
+        &self.core.duty
     }
 
     /// True when this run tracks the energy lifecycle (finite batteries or continuous
     /// drain) and therefore attaches a [`LifetimeStats`] block to its report.
     fn lifetime_tracking(&self) -> bool {
         self.setup.battery_capacity_j.is_finite() || self.setup.lifecycle.has_continuous_drain()
-    }
-
-    /// Record node `i`'s death the first time its battery is observed depleted. With
-    /// harvesting enabled, also schedule the node's harvest-until-threshold wake —
-    /// exactly once per depletion episode (`death_at[i]` guards re-entry).
-    fn note_death(&mut self, i: usize, t: SimTime) {
-        if self.death_at[i].is_none() && self.batteries[i].is_depleted() {
-            self.death_at[i] = Some(t);
-            self.first_depletion = Some(self.first_depletion.map_or(t, |f| f.min(t)));
-            if let Some(delay) = self.harvest.wake_delay(NodeId(i as u32)) {
-                if let Some(at) = t.checked_add(delay) {
-                    self.sim.schedule_at(at, NetEvent::HarvestWake { node: NodeId(i as u32) });
-                }
-            }
-        }
-    }
-
-    /// Accrue node `i`'s continuous idle-listen / sleep drain up to `t`. The drain is
-    /// piecewise-linear over the duty-cycle schedule, so accruing lazily at event and
-    /// sample instants books exactly the same joules as accruing continuously; a node
-    /// whose battery runs dry between packets is observed dead at the next instant
-    /// anything (an event, a probe, a lifetime sample) looks at it.
-    fn accrue_idle(&mut self, i: usize, t: SimTime) {
-        if !self.setup.lifecycle.has_continuous_drain() {
-            return;
-        }
-        let from = self.accrued_until[i];
-        if t <= from {
-            return;
-        }
-        self.accrued_until[i] = t;
-        if self.batteries[i].is_depleted() {
-            return;
-        }
-        let awake = self.duty.awake_between(NodeId(i as u32), from, t);
-        let asleep = t.saturating_since(from) - awake;
-        let lc = self.setup.lifecycle;
-        if lc.idle_listen_w > 0.0 {
-            self.batteries[i].accept(lc.idle_listen_w * awake.as_secs_f64(), EnergyUse::IdleListen);
-        }
-        if lc.sleep_w > 0.0 {
-            self.batteries[i].accept(lc.sleep_w * asleep.as_secs_f64(), EnergyUse::Sleep);
-        }
-        self.note_death(i, t);
-    }
-
-    /// Accrue every node's continuous drain up to `t` (probes and lifetime samples need
-    /// the whole fleet's liveness to be current).
-    fn accrue_all(&mut self, t: SimTime) {
-        if !self.setup.lifecycle.has_continuous_drain() {
-            return;
-        }
-        for i in 0..self.setup.n_nodes {
-            self.accrue_idle(i, t);
-        }
-    }
-
-    /// Record one lifetime sample at `t`: battery-alive population and cumulative
-    /// delivery ratio.
-    fn sample_lifetime(&mut self, t: SimTime) {
-        self.accrue_all(t);
-        let alive = self.batteries.iter().filter(|b| !b.is_depleted()).count() as u64;
-        self.alive_curve.push(alive);
-        let delivered: u64 = self.traces.iter().map(Trace::delivered_count).sum();
-        let expected: u64 = self.traces.iter().map(|tr| tr.expected_deliveries()).sum();
-        let ratio = if expected > 0 { delivered as f64 / expected as f64 } else { 0.0 };
-        self.delivery_curve.push(ratio);
     }
 
     /// Build the [`LifetimeStats`] block from the current state, or `None` when the run
@@ -562,23 +462,24 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         // In streaming mode the bounded rings may have downsampled: one committed
         // point then spans `stride` raw epochs, and the reported cadence scales with
         // it (exact mode has stride 1, leaving the bytes unchanged).
-        let epoch = self.sample_epoch().saturating_mul(self.alive_curve.stride());
+        let epoch = self.sample_epoch().saturating_mul(self.curves.alive.stride());
         let n = self.setup.n_nodes as u64;
+        let batteries = &self.core.batteries;
         let mut stats = LifetimeStats::empty(epoch.as_secs_f64(), n);
-        stats.first_death_s = self.first_depletion.map(|t| t.as_secs_f64());
-        stats.deaths = self.batteries.iter().filter(|b| b.is_depleted()).count() as u64;
+        stats.first_death_s = self.core.first_depletion.map(|t| t.as_secs_f64());
+        stats.deaths = batteries.iter().filter(|b| b.is_depleted()).count() as u64;
         stats.alive_final = n - stats.deaths;
-        stats.alive_curve = self.alive_curve.samples().to_vec();
-        stats.delivery_ratio_curve = self.delivery_curve.samples().to_vec();
-        stats.idle_energy_j = self.batteries.iter().map(Battery::idle_listened).sum();
-        stats.sleep_energy_j = self.batteries.iter().map(Battery::slept).sum();
-        stats.drained_j = self.batteries.iter().map(Battery::drained).sum();
+        stats.alive_curve = self.curves.alive.samples().to_vec();
+        stats.delivery_ratio_curve = self.curves.delivery.samples().to_vec();
+        stats.idle_energy_j = batteries.iter().map(Battery::idle_listened).sum();
+        stats.sleep_energy_j = batteries.iter().map(Battery::slept).sum();
+        stats.drained_j = batteries.iter().map(Battery::drained).sum();
         let capacity = self.setup.battery_capacity_j;
-        if capacity.is_finite() && !self.batteries.is_empty() {
+        if capacity.is_finite() && !batteries.is_empty() {
             let mut histogram = vec![0u64; RESIDUAL_HISTOGRAM_BINS];
             let mut sum = 0.0f64;
             let mut min = f64::INFINITY;
-            for b in &self.batteries {
+            for b in batteries {
                 let residual = b.remaining();
                 sum += residual;
                 min = min.min(residual);
@@ -588,7 +489,7 @@ impl<A: ProtocolAgent> NetworkSim<A> {
                 histogram[bin] += 1;
             }
             stats.residual_energy_histogram = histogram;
-            stats.mean_residual_j = sum / self.batteries.len() as f64;
+            stats.mean_residual_j = sum / batteries.len() as f64;
             stats.min_residual_j = min;
         }
         Some(stats)
@@ -606,267 +507,22 @@ impl<A: ProtocolAgent> NetworkSim<A> {
 
     /// Network-wide energy consumed so far, joules (running total for mid-run probes).
     pub fn energy_consumed_j(&self) -> f64 {
-        self.batteries.iter().map(Battery::consumed).sum()
+        self.core.batteries.iter().map(Battery::consumed).sum()
     }
 
     /// Energy attributed to session `session`'s frames so far, joules.
     pub fn session_energy_j(&self, session: usize) -> f64 {
-        self.session_energy_j[session]
+        self.core.energy[session]
     }
 
     /// Control packets transmitted so far, network-wide.
     pub fn control_packets_sent(&self) -> u64 {
-        self.traces.iter().map(Trace::control_packets).sum()
+        self.core.traces.iter().map(Trace::control_packets).sum()
     }
 
     /// Data packet transmissions so far, network-wide.
     pub fn data_packets_sent(&self) -> u64 {
-        self.traces.iter().map(Trace::data_packets_tx).sum()
-    }
-
-    fn make_ctx_and_call<F>(&mut self, session: usize, node: NodeId, t: SimTime, f: F)
-    where
-        F: FnOnce(&mut A, &mut NodeCtx<'_, A::Payload>),
-    {
-        let pos = self.medium.position_of(node, t);
-        let idx = self.idx(session, node);
-        let role = self.memberships[idx];
-        let n_nodes = self.setup.n_nodes;
-        let mut actions = std::mem::take(&mut self.scratch_actions);
-        actions.clear();
-        {
-            let mut ctx = NodeCtx::new(
-                t,
-                node,
-                pos,
-                role,
-                n_nodes,
-                &self.setup.radio,
-                &mut self.rngs[node.index()],
-                &mut actions,
-            );
-            f(&mut self.agents[idx], &mut ctx);
-        }
-        self.apply_actions(session, node, t, pos, &mut actions);
-        self.scratch_actions = actions;
-    }
-
-    /// Apply the actions a protocol emitted at `node` within `session`. `node_pos` is
-    /// the position the protocol context already saw, threaded through so broadcasts do
-    /// not query the mobility model a second time at the same timestamp.
-    fn apply_actions(
-        &mut self,
-        session: usize,
-        node: NodeId,
-        t: SimTime,
-        node_pos: Vec2,
-        actions: &mut Vec<Action<A::Payload>>,
-    ) {
-        for action in actions.drain(..) {
-            match action {
-                Action::Broadcast { class, size_bytes, range_m, data, payload } => {
-                    self.do_broadcast(
-                        session, node, t, node_pos, class, size_bytes, range_m, data, payload,
-                    );
-                }
-                Action::SetTimer { delay, kind, key } => {
-                    let ev = NetEvent::Timer { session: session as u16, node, kind, key };
-                    let id = self.sim.schedule_in(delay, ev);
-                    if let Some(old) = self.timers.insert((node.0, session as u16, kind, key), id) {
-                        self.sim.cancel(old);
-                    }
-                }
-                Action::CancelTimer { kind, key } => {
-                    if let Some(id) = self.timers.remove(&(node.0, session as u16, kind, key)) {
-                        self.sim.cancel(id);
-                    }
-                }
-                Action::DeliverData { tag } => {
-                    // Membership is enforced here, not only in protocol code: a node
-                    // that left the group (or never joined it) cannot count a delivery,
-                    // whatever its protocol instance believes. Only *receiving* members
-                    // count — the source is the origin, never a delivery target.
-                    if matches!(self.memberships[self.idx(session, node)], GroupRole::Member) {
-                        self.traces[session].record_delivery(&tag, node, t);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Apply one injected fault at time `t`. Returns `false` when the fault was a
-    /// no-op (corrupting or re-crashing an already-down node, draining an empty
-    /// battery) so the probed loop does not report phantom faults to the observer.
-    fn apply_fault(&mut self, t: SimTime, kind: FaultKind) -> bool {
-        // Bring the target's continuous drain up to date first, so a node whose battery
-        // ran dry between packets is already dead (and the fault a no-op) here.
-        self.accrue_idle(kind.node().index(), t);
-        match kind {
-            FaultKind::Corrupt { node } => {
-                let i = node.index();
-                let up = !self.crashed[i] && !self.batteries[i].is_depleted();
-                if up {
-                    // State corruption hits the node: every session's instance there is
-                    // scrambled (with the node's own seeded RNG, in session order), and
-                    // so is its MAC state — a corrupted TDMA schedule must re-converge.
-                    for session in 0..self.setup.n_sessions() {
-                        let idx = self.idx(session, node);
-                        self.agents[idx].corrupt_state(&mut self.rngs[i]);
-                    }
-                    // A second pass with a live context: suppressed agents re-arm their
-                    // beacon timers so the scrambled state becomes visible at the base
-                    // cadence, not after a backed-off interval.
-                    for session in 0..self.setup.n_sessions() {
-                        self.make_ctx_and_call(session, node, t, |agent, ctx| {
-                            agent.on_corrupted(ctx)
-                        });
-                    }
-                    self.mac.corrupt(node);
-                }
-                up
-            }
-            FaultKind::Crash { node, down_for } => {
-                if self.crashed[node.index()] || self.batteries[node.index()].is_depleted() {
-                    return false; // already dead — nothing changes
-                }
-                self.crashed[node.index()] = true;
-                if down_for != SimDuration::MAX {
-                    if let Some(at) = t.checked_add(down_for) {
-                        self.sim.schedule_at(at, NetEvent::Fault(FaultKind::Rejoin { node }));
-                    }
-                }
-                true
-            }
-            FaultKind::Rejoin { node } => {
-                let was_down = self.crashed[node.index()];
-                if was_down {
-                    self.crashed[node.index()] = false;
-                    // The node's timers were lost while it was down; restarting the
-                    // agents re-arms them. Their (stale) protocol state survives the
-                    // crash — exactly the arbitrary-state situation self-stabilization
-                    // must recover from.
-                    for session in 0..self.setup.n_sessions() {
-                        self.make_ctx_and_call(session, node, t, |agent, ctx| agent.start(ctx));
-                    }
-                }
-                was_down
-            }
-            FaultKind::Blackout { node, duration } => {
-                let until = t.checked_add(duration).unwrap_or(SimTime::MAX);
-                // The medium flag is set regardless (the blackout may outlive a crash's
-                // downtime), but darkening an already-dead node's links is a no-op for
-                // episode accounting — a dead node is exempt from legitimacy anyway.
-                self.medium.set_blackout(node, until);
-                !self.crashed[node.index()] && !self.batteries[node.index()].is_depleted()
-            }
-            FaultKind::Drain { node, joules } => {
-                let i = node.index();
-                // An unlimited battery cannot be hurt by a spike: skip it entirely so
-                // the energy report stays clean and no phantom episode opens.
-                if self.batteries[i].is_unlimited() || self.batteries[i].is_depleted() {
-                    return false;
-                }
-                self.batteries[i].drain(joules);
-                self.note_death(i, t);
-                true
-            }
-        }
-    }
-
-    /// Apply one scheduled membership change. Sources never churn, and redundant events
-    /// (joining a member, removing a non-member) are ignored, so schedules stay valid
-    /// under any interleaving.
-    fn apply_membership(&mut self, session: usize, node: NodeId, change: MembershipChange) {
-        let idx = self.idx(session, node);
-        match (change, self.memberships[idx]) {
-            (MembershipChange::Join, GroupRole::NonMember) => {
-                self.memberships[idx] = GroupRole::Member;
-                self.receiver_counts[session] += 1;
-                self.joins[session] += 1;
-            }
-            (MembershipChange::Leave, GroupRole::Member) => {
-                self.memberships[idx] = GroupRole::NonMember;
-                self.receiver_counts[session] -= 1;
-                self.leaves[session] += 1;
-            }
-            _ => {}
-        }
-    }
-
-    /// Build a [`ProbeContext`] at `t` and hand it to the observer (as an epoch probe,
-    /// or as a fault notification when `fault` is set).
-    fn observe(
-        &mut self,
-        t: SimTime,
-        observer: &mut dyn StabilizationObserver,
-        fault: Option<&FaultKind>,
-    ) {
-        // Idle drain accrues fleet-wide first, so the alive-sets below reflect nodes
-        // whose batteries ran dry between packets.
-        self.accrue_all(t);
-        if !matches!(&self.probe_snapshot, Some((st, _)) if *st == t) {
-            let snapshot = self.medium.snapshot(t, self.setup.radio.max_range_m);
-            self.probe_snapshot = Some((t, snapshot));
-        }
-        let snapshot = &self.probe_snapshot.as_ref().expect("primed above").1;
-        let n = self.setup.n_nodes;
-        self.probe_parents.clear();
-        self.probe_parents.extend(self.agents.iter().map(ProtocolAgent::tree_parent));
-        self.probe_alive.clear();
-        self.probe_alive
-            .extend((0..n).map(|i| !self.crashed[i] && !self.batteries[i].is_depleted()));
-        // Blackout is reported separately from liveness: a blacked-out node still runs
-        // (and still counts as a member to serve), its links are just unusable.
-        self.probe_blacked.clear();
-        self.probe_blacked.extend((0..n).map(|i| self.medium.is_blacked_out(NodeId(i as u32), t)));
-        let (parents, alive, blacked_out): (&[_], &[bool], &[bool]) =
-            (&self.probe_parents, &self.probe_alive, &self.probe_blacked);
-        // One view per session: that session's parents, its churn-updated roles, and
-        // its own running counters (so per-session recovery accounting does not charge
-        // one session with another's traffic).
-        let sessions: Vec<SessionProbe<'_>> = (0..self.setup.n_sessions())
-            .map(|s| SessionProbe {
-                parents: &parents[s * n..(s + 1) * n],
-                roles: &self.memberships[s * n..(s + 1) * n],
-                control_packets: self.traces[s].control_packets(),
-                data_packets: self.traces[s].data_packets_tx(),
-                energy_j: self.session_energy_j[s],
-            })
-            .collect();
-        let ctx = ProbeContext {
-            now: t,
-            snapshot,
-            sessions: &sessions,
-            alive,
-            blacked_out,
-            control_packets: self.control_packets_sent(),
-            data_packets: self.data_packets_sent(),
-            energy_j: self.energy_consumed_j(),
-        };
-        match fault {
-            Some(kind) => observer.on_fault(kind, &ctx),
-            None => observer.on_epoch(&ctx),
-        }
-        drop(sessions);
-        if self.setup.silence.enabled {
-            for s in 0..self.setup.n_sessions() {
-                self.session_recovering[s] = observer.session_recovering(s);
-            }
-        }
-    }
-
-    /// Bucket one control transmission into the steady or recovery phase.
-    fn record_silence_control(&mut self, session: usize, size_bytes: u32) {
-        if !self.setup.silence.enabled {
-            return;
-        }
-        let bucket = if self.session_recovering[session] {
-            &mut self.silence_recovery[session]
-        } else {
-            &mut self.silence_steady[session]
-        };
-        bucket.0 += 1;
-        bucket.1 += size_bytes as u64;
+        self.core.traces.iter().map(Trace::data_packets_tx).sum()
     }
 
     /// The phase-split control-traffic block, when suppression accounting is on.
@@ -875,9 +531,10 @@ impl<A: ProtocolAgent> NetworkSim<A> {
             return None;
         }
         let sessions = self
+            .core
             .silence_steady
             .iter()
-            .zip(&self.silence_recovery)
+            .zip(&self.core.silence_recovery)
             .map(|(&(sp, sb), &(rp, rb))| SessionSilence {
                 steady_control_packets: sp,
                 steady_control_bytes: sb,
@@ -886,336 +543,6 @@ impl<A: ProtocolAgent> NetworkSim<A> {
             })
             .collect();
         Some(SilenceStats::from_sessions(sessions))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn do_broadcast(
-        &mut self,
-        session: usize,
-        sender: NodeId,
-        t: SimTime,
-        sender_pos: Vec2,
-        class: PacketClass,
-        size_bytes: u32,
-        range_m: f64,
-        data: Option<DataTag>,
-        payload: A::Payload,
-    ) {
-        self.try_send(
-            session,
-            sender,
-            t,
-            Some(sender_pos),
-            class,
-            size_bytes,
-            range_m,
-            data,
-            payload,
-            0,
-            t,
-        );
-    }
-
-    /// One MAC-mediated transmission attempt: run the liveness/blackout guards, ask the
-    /// MAC policy when the frame may transmit, and either put it on the air, schedule a
-    /// [`NetEvent::MacRetry`], or drop it. `sender_pos` is threaded from the protocol
-    /// context on the first attempt; retries pass `None` and re-query the (possibly
-    /// moved) node.
-    #[allow(clippy::too_many_arguments)]
-    fn try_send(
-        &mut self,
-        session: usize,
-        sender: NodeId,
-        t: SimTime,
-        sender_pos: Option<Vec2>,
-        class: PacketClass,
-        size_bytes: u32,
-        range_m: f64,
-        data: Option<DataTag>,
-        payload: A::Payload,
-        attempt: u32,
-        requested_at: SimTime,
-    ) {
-        self.accrue_idle(sender.index(), t);
-        if self.batteries[sender.index()].is_depleted() || self.crashed[sender.index()] {
-            return;
-        }
-        let radio = self.setup.radio;
-        let range = radio.clamp_range(range_m);
-        let usage = match class {
-            PacketClass::Control => EnergyUse::TxControl,
-            PacketClass::Data => EnergyUse::TxData,
-        };
-        // A blacked-out sender still pays for the transmission but nobody hears it —
-        // at the requested range even under power control (its neighbourhood is
-        // unknowable through a jammed link), and without wasting a neighbour query
-        // whose result would be discarded. The MAC never sees these frames: carrier
-        // sensing through a jammed front end is meaningless.
-        if self.medium.is_blacked_out(sender, t) {
-            let accepted = self.batteries[sender.index()]
-                .accept(radio.energy.tx_energy(range, size_bytes), usage);
-            self.note_death(sender.index(), t);
-            self.session_energy_j[session] += accepted;
-            match class {
-                PacketClass::Control => {
-                    self.traces[session].record_control_tx(size_bytes);
-                    self.record_silence_control(session, size_bytes);
-                }
-                PacketClass::Data => self.traces[session].record_data_tx(size_bytes),
-            }
-            return;
-        }
-        if attempt == 0 {
-            self.mac_requested += 1;
-        }
-        // The MAC decides when the frame hits the air. The default jitter policy draws
-        // exactly the legacy backoff from `loss_rng` and always transmits, keeping
-        // pre-MAC-layer runs byte-identical; the contention policies use their own
-        // seeded streams and may defer or drop instead.
-        let frame = MacFrame { sender, class, size_bytes, attempt };
-        let decision = self.mac.access(&frame, t, &radio, &self.channel, &mut self.loss_rng);
-        let tx_start = match decision {
-            MacDecision::Drop => {
-                self.mac_drops += 1;
-                return;
-            }
-            MacDecision::Defer { until } => {
-                self.mac_deferrals += 1;
-                let ev = NetEvent::MacRetry {
-                    session: session as u16,
-                    sender,
-                    class,
-                    size_bytes,
-                    range_m: range,
-                    data,
-                    payload,
-                    attempt: attempt + 1,
-                    requested_at,
-                };
-                self.sim.schedule_at(until.max(t), ev);
-                return;
-            }
-            MacDecision::Transmit { at } => at.max(t),
-        };
-        self.mac_sent += 1;
-        self.mac_access_delay += tx_start.saturating_since(requested_at);
-        self.mac_airtime += radio.tx_duration(size_bytes);
-        // Receivers are computed up front (the query is RNG-free, so the loss draws
-        // below still happen in exactly the legacy order) so distance-based TX power
-        // control can price the transmission by its farthest actual receiver.
-        let sender_pos = sender_pos.unwrap_or_else(|| self.medium.position_of(sender, t));
-        let mut receivers = std::mem::take(&mut self.scratch_receivers);
-        self.medium.receivers_within(sender, sender_pos, range, t, &mut receivers);
-        let tx_end = tx_start + radio.tx_duration(size_bytes);
-        let delivery_at = tx_start + radio.delivery_delay(size_bytes);
-        let lc = self.setup.lifecycle;
-        let tx_range = if lc.tx_power_control {
-            // Just enough power to cover the farthest receiver; the zero-range
-            // electronics term keeps the cost above the floor even with nobody in
-            // range. By default a sleeping receiver still counts — the sender cannot
-            // know; with the duty-aware-pricing opt-in the seeded schedule *is*
-            // knowable, and receivers provably asleep at the delivery instant (they
-            // would drop the frame anyway) leave the pricing set. The receiver set,
-            // delays and loss draws are never affected — only the priced range.
-            if lc.duty_aware_pricing && self.duty.is_on() {
-                let priced: Vec<NodeId> = receivers
-                    .iter()
-                    .copied()
-                    .filter(|&rx| self.duty.is_awake(rx, delivery_at))
-                    .collect();
-                self.medium.farthest_distance(sender_pos, &priced, t).min(range)
-            } else {
-                self.medium.farthest_distance(sender_pos, &receivers, t).min(range)
-            }
-        } else {
-            range
-        };
-        let tx_energy = radio.energy.tx_energy(tx_range, size_bytes);
-        // Attribute only what the battery actually held: the dying gasp of a nearly
-        // drained node books (and charges its session with) the residual energy, so
-        // per-session sums conserve the batteries' totals across depletion.
-        let accepted = self.batteries[sender.index()].accept(tx_energy, usage);
-        self.note_death(sender.index(), t);
-        self.session_energy_j[session] += accepted;
-        match class {
-            PacketClass::Control => {
-                self.traces[session].record_control_tx(size_bytes);
-                self.record_silence_control(session, size_bytes);
-            }
-            PacketClass::Data => self.traces[session].record_data_tx(size_bytes),
-        }
-
-        // MAC state rides the frame: the claim-table row is snapshotted once, when the
-        // frame leaves the sender, and shared by every receiver's copy — receivers
-        // learn from what was actually on the air, not from the sender's later state.
-        let piggyback: Option<std::sync::Arc<[u16]>> =
-            self.mac.piggyback_row(sender, class).map(std::sync::Arc::from);
-        // Receivers come back in ascending node-id order regardless of query mode, so
-        // the per-receiver channel and loss draws below consume `loss_rng` in exactly
-        // the sequence the brute-force scan would.
-        for &rx in &receivers {
-            if self.batteries[rx.index()].is_depleted() {
-                continue;
-            }
-            let clean = if radio.collisions_enabled {
-                self.channel.try_receive(session as u16, rx, tx_start, tx_end)
-            } else {
-                true
-            };
-            let lost = self.loss_rng.gen::<f64>() < radio.loss_probability;
-            let corrupted = !clean || lost;
-            let packet = Packet { sender, class, size_bytes, data, payload: payload.clone() };
-            let ev = NetEvent::Deliver {
-                session: session as u16,
-                rx,
-                packet,
-                corrupted,
-                tx_start,
-                piggyback: piggyback.clone(),
-            };
-            self.sim.schedule_at(delivery_at, ev);
-        }
-        self.scratch_receivers = receivers;
-    }
-
-    fn dispatch(&mut self, t: SimTime, ev: NetEvent<A::Payload>) {
-        match ev {
-            NetEvent::Deliver { session, rx, packet, corrupted, tx_start, piggyback } => {
-                let session = session as usize;
-                self.accrue_idle(rx.index(), t);
-                if self.batteries[rx.index()].is_depleted() || self.crashed[rx.index()] {
-                    return;
-                }
-                // A frame already in flight when the blackout started is lost too.
-                if self.medium.is_blacked_out(rx, t) {
-                    return;
-                }
-                // A sleeping radio misses the frame entirely: no reception, no
-                // reception energy — the delivery cost of duty cycling.
-                if !self.duty.is_awake(rx, t) {
-                    return;
-                }
-                let rx_energy = self.setup.radio.energy.rx_energy(packet.size_bytes);
-                if corrupted {
-                    let accepted =
-                        self.batteries[rx.index()].accept(rx_energy, EnergyUse::Overhear);
-                    self.note_death(rx.index(), t);
-                    self.session_energy_j[session] += accepted;
-                    self.session_overhear_j[session] += accepted;
-                    return;
-                }
-                // A clean reception teaches the MAC: TDMA learns the sender's slot
-                // (and, on control frames, its piggybacked claim table) exclusively
-                // through this call — at arrival, exactly like the sharded engine.
-                self.mac.on_overheard(
-                    rx,
-                    packet.sender,
-                    packet.class,
-                    tx_start,
-                    piggyback.as_deref(),
-                );
-                let mut disposition = Disposition::Discarded;
-                self.make_ctx_and_call(session, rx, t, |agent, ctx| {
-                    disposition = agent.on_packet(ctx, &packet);
-                });
-                let usage = match (disposition, packet.class) {
-                    (Disposition::Discarded, _) => EnergyUse::Overhear,
-                    (Disposition::Consumed, PacketClass::Control) => EnergyUse::RxControl,
-                    (Disposition::Consumed, PacketClass::Data) => EnergyUse::RxData,
-                };
-                let accepted = self.batteries[rx.index()].accept(rx_energy, usage);
-                self.note_death(rx.index(), t);
-                self.session_energy_j[session] += accepted;
-                if usage == EnergyUse::Overhear {
-                    self.session_overhear_j[session] += accepted;
-                }
-            }
-            NetEvent::Timer { session, node, kind, key } => {
-                self.timers.remove(&(node.0, session, kind, key));
-                self.accrue_idle(node.index(), t);
-                if self.batteries[node.index()].is_depleted() || self.crashed[node.index()] {
-                    return;
-                }
-                self.make_ctx_and_call(session as usize, node, t, |agent, ctx| {
-                    agent.on_timer(ctx, kind, key);
-                });
-            }
-            NetEvent::AppSend { session, seq } => {
-                let s = session as usize;
-                let traffic = self.setup.sessions[s].traffic;
-                if t >= traffic.stop {
-                    return;
-                }
-                let source = traffic.source;
-                self.accrue_idle(source.index(), t);
-                let tag = DataTag { group: traffic.group, origin: source, seq, created_at: t };
-                let receivers = self.receiver_counts[s];
-                self.traces[s].record_generated(seq, t, receivers);
-                if !self.batteries[source.index()].is_depleted() && !self.crashed[source.index()] {
-                    self.make_ctx_and_call(s, source, t, |agent, ctx| {
-                        agent.on_app_data(ctx, tag, traffic.packet_size_bytes);
-                    });
-                }
-                let next = t + traffic.interval();
-                if next < traffic.stop {
-                    self.sim.schedule_at(next, NetEvent::AppSend { session, seq: seq + 1 });
-                }
-            }
-            NetEvent::Membership { session, node, change } => {
-                self.apply_membership(session as usize, node, change);
-            }
-            NetEvent::Fault(kind) => {
-                // Defensive fallback only: `run_inner`'s loop intercepts fault events
-                // itself (it must decide whether to notify the observer and how to
-                // account the episode), so this arm never fires from a normal run.
-                let _ = self.apply_fault(t, kind);
-            }
-            NetEvent::HarvestWake { node } => {
-                let i = node.index();
-                // Book the dark period first: `accrue_idle` advances the accrual
-                // horizon but charges nothing while the battery reads depleted — a
-                // powered-down node draws no idle or sleep current.
-                self.accrue_idle(i, t);
-                let restored = self.batteries[i].recharge(self.harvest.wake_energy_j());
-                if restored <= 0.0 || self.batteries[i].is_depleted() {
-                    return; // nothing banked (or still short): stay dark forever
-                }
-                self.death_at[i] = None;
-                if !self.crashed[i] {
-                    // Timers died with the node; restarting the agents re-arms them,
-                    // carrying whatever protocol state survived the outage — the same
-                    // arbitrary-state restart as a fault-layer rejoin.
-                    for session in 0..self.setup.n_sessions() {
-                        self.make_ctx_and_call(session, node, t, |agent, ctx| agent.start(ctx));
-                    }
-                }
-            }
-            NetEvent::MacRetry {
-                session,
-                sender,
-                class,
-                size_bytes,
-                range_m,
-                data,
-                payload,
-                attempt,
-                requested_at,
-            } => {
-                self.try_send(
-                    session as usize,
-                    sender,
-                    t,
-                    None,
-                    class,
-                    size_bytes,
-                    range_m,
-                    data,
-                    payload,
-                    attempt,
-                    requested_at,
-                );
-            }
-        }
     }
 
     /// Run the simulation for `duration` and return the report. Any faults in the
@@ -1251,33 +578,22 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         let wall = std::time::Instant::now();
         let mut peak_depth: u64 = 0;
         let horizon = SimTime::ZERO + duration;
-        // Start every agent at time zero, session-major (session 0 first keeps the
-        // single-session event order of the pre-refactor runtime).
-        for session in 0..self.setup.n_sessions() {
-            for i in 0..self.setup.n_nodes {
-                self.make_ctx_and_call(session, NodeId(i as u32), SimTime::ZERO, |agent, ctx| {
-                    agent.start(ctx)
-                });
-            }
-        }
+        let (core, mut s, ..) = self.parts();
+        core.start_all(&mut s);
         // Schedule the fault plan through the same queue as every packet and timer.
-        let faults: Vec<FaultEvent> = self.setup.faults.events().to_vec();
-        for fe in faults {
+        for (plan_idx, fe) in self.setup.faults.events().iter().enumerate() {
             if fe.at <= horizon {
-                self.sim.schedule_at(fe.at, NetEvent::Fault(fe.kind));
+                self.sim.schedule_at(fe.at, NetEvent::Fault(fe.kind, plan_idx as u64));
             }
         }
         // Schedule each session's churn the same way: membership changes are data.
-        let churn: Vec<(u16, MembershipEvent)> = self
-            .setup
-            .sessions
-            .iter()
-            .enumerate()
-            .flat_map(|(s, sess)| sess.churn.iter().map(move |ev| (s as u16, *ev)))
-            .collect();
-        for (session, ev) in churn {
-            if ev.at <= horizon {
-                let net = NetEvent::Membership { session, node: ev.node, change: ev.change };
+        for (session, sess) in self.setup.sessions.iter().enumerate() {
+            for ev in sess.churn.iter().filter(|ev| ev.at <= horizon) {
+                let net = NetEvent::Membership {
+                    session: session as u16,
+                    node: ev.node,
+                    change: ev.change,
+                };
                 self.sim.schedule_at(ev.at, net);
             }
         }
@@ -1290,21 +606,12 @@ impl<A: ProtocolAgent> NetworkSim<A> {
                 );
             }
         }
-        // Main loop. The closure trick: `run_until` hands us events one at a time; we
-        // cannot call a method on `self` from inside a closure borrowing `self.sim`, so
-        // we drive the loop manually. Probe epochs and lifetime samples interleave with
-        // events in strict time order (events at an epoch's exact timestamp dispatch
-        // first, so both see the post-event state); when a probe and a sample fall on
-        // the same instant the probe fires first — both only read state.
+        // Probe epochs and lifetime samples interleave with events in strict time order
+        // (events at an epoch's exact timestamp dispatch first, so both see the
+        // post-event state); when a probe and a sample fall on the same instant the
+        // probe fires first — both only read state.
         let mut probe = probe;
-        let probe_epoch = probe.as_ref().map(|observer| {
-            let epoch = observer.probe_epoch();
-            if epoch.is_zero() {
-                SimDuration::from_secs(1)
-            } else {
-                epoch
-            }
-        });
+        let probe_epoch = probe.as_deref().map(probe_epoch);
         let mut next_probe = probe_epoch.map(|epoch| SimTime::ZERO + epoch);
         let sample_epoch = self.sample_epoch();
         let mut next_sample =
@@ -1320,20 +627,21 @@ impl<A: ProtocolAgent> NetworkSim<A> {
             match self.sim.peek_time() {
                 Some(next) if next <= horizon && next_aux.is_none_or(|aux| next <= aux) => {
                     let (t, ev) = self.sim.pop_next().expect("peeked event must pop");
+                    let (core, mut s, scratch, _) = self.parts();
                     match ev {
-                        NetEvent::Fault(kind) => {
+                        NetEvent::Fault(kind, plan_idx) => {
                             // Rejoins are repairs scheduled by an earlier crash, and
                             // no-op faults (e.g. corrupting an already-crashed node)
                             // never perturbed anything — reporting either would open
                             // spurious episodes.
-                            let applied = self.apply_fault(t, kind);
+                            let applied = core.apply_fault(&mut s, t, kind, plan_idx);
                             if let Some(observer) = probe.as_deref_mut() {
                                 if applied && !matches!(kind, FaultKind::Rejoin { .. }) {
-                                    self.observe(t, observer, Some(&kind));
+                                    observe(&mut [(core, s)], scratch, t, observer, Some(&kind));
                                 }
                             }
                         }
-                        other => self.dispatch(t, other),
+                        other => core.dispatch(&mut s, t, other),
                     }
                 }
                 _ => {
@@ -1341,13 +649,15 @@ impl<A: ProtocolAgent> NetworkSim<A> {
                     if aux > horizon {
                         break;
                     }
+                    let (core, s, scratch, curves) = self.parts();
+                    let mut parts = [(core, s)];
                     if next_probe == Some(aux) {
                         let observer = probe.as_deref_mut().expect("probe drives probe epochs");
-                        self.observe(aux, observer, None);
+                        observe(&mut parts, scratch, aux, observer, None);
                         next_probe = Some(aux + probe_epoch.expect("epoch set with the probe"));
                     }
                     if next_sample == Some(aux) {
-                        self.sample_lifetime(aux);
+                        curves.sample(&mut parts, aux);
                         next_sample = Some(aux + sample_epoch);
                     }
                 }
@@ -1355,19 +665,28 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         }
         // Bring every battery's continuous drain up to the horizon so the residual
         // energy histogram and total-energy figures describe the whole run.
-        self.accrue_all(horizon);
+        let (core, mut s, ..) = self.parts();
+        core.accrue_all(&mut s, horizon);
+        let events = self.sim.events_processed();
+        self.finish(duration, probe, || {
+            EngineStats::from_counts(0, vec![events], peak_depth, 0, wall.elapsed().as_secs_f64())
+        })
+    }
+
+    /// The report of a finished run: [`Self::report`] plus the engine block (when the
+    /// setup asks for it) and the observer's convergence results.
+    fn finish(
+        &self,
+        duration: SimDuration,
+        probe: Option<&mut dyn StabilizationObserver>,
+        engine: impl FnOnce() -> EngineStats,
+    ) -> SimReport {
         let mut report = self.report(duration);
         if self.setup.engine.stats {
-            report.engine = Some(EngineStats::from_counts(
-                0,
-                vec![self.sim.events_processed()],
-                peak_depth,
-                0,
-                wall.elapsed().as_secs_f64(),
-            ));
+            report.engine = Some(engine());
         }
         if let Some(observer) = probe {
-            report.convergence = observer.finish(horizon);
+            report.convergence = observer.finish(SimTime::ZERO + duration);
             if let Some(groups) = report.groups.as_mut() {
                 let per_session = observer.session_stats();
                 for (group, stats) in groups.iter_mut().zip(per_session) {
@@ -1382,10 +701,11 @@ impl<A: ProtocolAgent> NetworkSim<A> {
     /// aggregate block folds every session; runs with group dynamics (several sessions
     /// or churn) additionally carry one per-group block per session.
     pub fn report(&self, duration: SimDuration) -> SimReport {
-        let total_energy: f64 = self.batteries.iter().map(Battery::consumed).sum();
-        let overhear: f64 = self.batteries.iter().map(Battery::overheard).sum();
-        let label = self.agents.first().map(|a| a.label()).unwrap_or("protocol");
-        let pairs: Vec<(&Trace, u32)> = self
+        let core = &self.core;
+        let total_energy: f64 = core.batteries.iter().map(Battery::consumed).sum();
+        let overhear: f64 = core.batteries.iter().map(Battery::overheard).sum();
+        let label = core.agents.first().map(|a| a.label()).unwrap_or("protocol");
+        let pairs: Vec<(&Trace, u32)> = core
             .traces
             .iter()
             .zip(&self.setup.sessions)
@@ -1397,7 +717,7 @@ impl<A: ProtocolAgent> NetworkSim<A> {
             duration,
             total_energy,
             overhear,
-            self.channel.collisions(),
+            core.channel.collisions(),
             self.setup.availability_threshold,
         );
         if self.setup.has_group_dynamics() {
@@ -1407,16 +727,16 @@ impl<A: ProtocolAgent> NetworkSim<A> {
                 .iter()
                 .enumerate()
                 .map(|(s, session)| {
-                    self.traces[s].group_stats(&GroupAccounting {
+                    core.traces[s].group_stats(&GroupAccounting {
                         group: session.traffic.group.0,
                         source: session.traffic.source.0,
                         members_initial: session.initial_receivers(),
-                        members_final: self.receiver_counts[s],
-                        joins: self.joins[s],
-                        leaves: self.leaves[s],
-                        energy_j: self.session_energy_j[s],
-                        overhear_energy_j: self.session_overhear_j[s],
-                        collisions: self.channel.collisions_for(s),
+                        members_final: core.receiver_counts[s],
+                        joins: core.joins[s],
+                        leaves: core.leaves[s],
+                        energy_j: core.energy[s],
+                        overhear_energy_j: core.overhear[s],
+                        collisions: core.channel.collisions_for(s),
                         availability_threshold: self.setup.availability_threshold,
                     })
                 })
@@ -1425,48 +745,30 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         }
         report.lifetime = self.lifetime_stats();
         if self.setup.mac.reports_stats() {
-            report.mac = Some(self.mac_stats(duration));
+            report.mac = Some(core.mac_stats(duration));
         }
         report.silence = self.silence_stats();
         report
     }
-
-    /// Assemble the [`MacStats`] block from the runtime counters, the collision channel
-    /// and the policy's own accounting.
-    fn mac_stats(&self, duration: SimDuration) -> MacStats {
-        let mut mac = MacStats::empty(self.mac.label());
-        mac.frames_requested = self.mac_requested;
-        mac.frames_sent = self.mac_sent;
-        mac.mac_drops = self.mac_drops;
-        mac.deferrals = self.mac_deferrals;
-        mac.mean_access_delay_ms = if self.mac_sent > 0 {
-            self.mac_access_delay.as_millis_f64() / self.mac_sent as f64
-        } else {
-            0.0
-        };
-        mac.airtime_utilization = if duration.is_zero() {
-            0.0
-        } else {
-            self.mac_airtime.as_secs_f64() / duration.as_secs_f64()
-        };
-        mac.receptions = self.channel.receptions();
-        mac.collisions = self.channel.collisions();
-        mac.collision_rate =
-            if mac.receptions > 0 { mac.collisions as f64 / mac.receptions as f64 } else { 0.0 };
-        self.mac.fill_stats(&mut mac);
-        mac
-    }
 }
 
-/// Outcome of a bounded run (re-exported for integration tests that drive the engine
-/// directly).
-pub type NetRunOutcome = RunOutcome;
+/// An observer's probe cadence (zero falls back to one second).
+fn probe_epoch(observer: &dyn StabilizationObserver) -> SimDuration {
+    let epoch = observer.probe_epoch();
+    if epoch.is_zero() {
+        SimDuration::from_secs(1)
+    } else {
+        epoch
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agent::{Disposition, NodeCtx};
     use crate::mobility::Stationary;
     use crate::node::GroupId;
+    use crate::session::MembershipEvent;
 
     /// A trivial flooding protocol used to exercise the runtime: the source broadcasts
     /// data at max range; every member delivers; every node rebroadcasts each packet once.
@@ -1640,21 +942,21 @@ mod tests {
             // Hand-built schedule: 1000 s period, first half awake; node 2's phase puts
             // it asleep for all of [0, 500) s — provably asleep at the delivery instant.
             let half = 500_000_000_000u64;
-            sim.duty = DutySchedule::with_phases(2 * half, half, vec![0, 0, half]);
+            sim.core.duty = DutySchedule::with_phases(2 * half, half, vec![0, 0, half]);
             let t = SimTime::from_secs(1);
-            sim.try_send(
-                0,
-                NodeId(0),
-                t,
-                None,
-                PacketClass::Data,
-                512,
-                sim.setup.radio.max_range_m,
-                None,
-                (),
-                0,
-                t,
-            );
+            let frame = PendingFrame {
+                session: 0,
+                sender: NodeId(0),
+                class: PacketClass::Data,
+                size_bytes: 512,
+                range_m: sim.setup.radio.max_range_m,
+                data: None,
+                payload: (),
+                attempt: 0,
+                requested_at: t,
+            };
+            let (core, mut s, ..) = sim.parts();
+            core.try_send(&mut s, t, None, frame);
             sim.battery(NodeId(0)).tx_total()
         };
         let radio = RadioConfig::default();
