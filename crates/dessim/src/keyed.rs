@@ -39,7 +39,11 @@ impl<K: Ord, E> Ord for KeyedEntry<K, E> {
         // Reversed: BinaryHeap is a max-heap, we want the smallest tuple on top. The id
         // is a final tiebreaker only so the order is total; callers that need
         // schedule-independent determinism must make `(time, key)` unique.
-        (&other.time, &other.key, &other.id.0).cmp(&(&self.time, &self.key, &self.id.0))
+        other
+            .time
+            .cmp(&self.time)
+            .then_with(|| other.key.cmp(&self.key))
+            .then_with(|| other.id.cmp(&self.id))
     }
 }
 

@@ -387,7 +387,7 @@ impl<A: ProtocolAgent> NodeCore<A> {
     }
 
     /// Run one callback of `session`'s agent at `node` and apply the actions it queued.
-    pub(super) fn make_ctx_and_call<'a, S, F>(
+    fn make_ctx_and_call<'a, S, F>(
         &mut self,
         s: &mut S,
         session: usize,
@@ -765,9 +765,10 @@ impl<A: ProtocolAgent> NodeCore<A> {
                 self.apply_membership(s.setup().n_nodes, usize::from(session), node, change);
             }
             NetEvent::Fault(kind, plan_idx) => {
-                // Faults an engine must observe (every seeded fault of a probed run,
-                // and blackouts on the sharded engine) are applied by its run loop;
-                // the rest — crash-scheduled rejoins included — land here.
+                // The sequential loop applies every fault itself (it may have to
+                // notify the observer), and the sharded coordinator applies blackouts
+                // and probed runs' seeded faults. What reaches a shard's queue lands
+                // here: crash-scheduled rejoins and unprobed node-local faults.
                 let _ = self.apply_fault(s, t, kind, plan_idx);
             }
             NetEvent::HarvestWake { node } => {

@@ -86,7 +86,8 @@ struct Shared<A: ProtocolAgent> {
     lanes: Vec<Vec<Lane<A::Payload>>>,
     frozen: RwLock<Frozen>,
     /// Per-node link-blackout horizon, nanos. Written only by the coordinator, which
-    /// applies every blackout between windows; read by every worker.
+    /// applies every blackout between windows; read by every worker. `Relaxed` suffices:
+    /// the round barrier orders each write before the workers' next reads.
     blackout_until: Vec<AtomicU64>,
     /// Per-shard published minimum (nanos), `u64::MAX` when idle.
     mins: Vec<AtomicU64>,
