@@ -431,8 +431,8 @@ impl<A: ProtocolAgent> NodeCore<A> {
         }
     }
 
-    /// Start every owned agent at time zero, session-major (session 0 first keeps the
-    /// single-session event order of the pre-multi-group runtime).
+    /// Start every owned agent at time zero, session-major: session 0 first, the order
+    /// the single-session goldens pin.
     pub(super) fn start_all<'a, S: Seam<'a, A::Payload>>(&mut self, s: &mut S) {
         for session in 0..s.setup().n_sessions() {
             for li in 0..self.owned.len() {
@@ -568,8 +568,9 @@ impl<A: ProtocolAgent> NodeCore<A> {
             self.mac_counts.requested += 1;
         }
         // The MAC decides when the frame hits the air. The default jitter policy draws
-        // exactly the legacy backoff from the loss stream and always transmits; the
-        // contention policies use their own seeded streams and may defer or drop.
+        // its backoff from the loss stream (one draw per frame, which the goldens pin)
+        // and always transmits; the contention policies use their own seeded streams
+        // and may defer or drop.
         let loss = if S::PER_SENDER_LOSS { li } else { 0 };
         let mac_frame = MacFrame { sender, class, size_bytes, attempt: frame.attempt };
         let decision =
@@ -593,9 +594,9 @@ impl<A: ProtocolAgent> NodeCore<A> {
         self.mac_counts.sent += 1;
         self.mac_counts.access_delay += tx_start.saturating_since(frame.requested_at);
         self.mac_counts.airtime += radio.tx_duration(size_bytes);
-        // Receivers are computed up front (the query is RNG-free, so the loss draws
-        // below still happen in the legacy order) so distance-based TX power control
-        // can price the transmission by its farthest actual receiver.
+        // Receivers are computed up front (the query is RNG-free, so it cannot move the
+        // loss draws below) so distance-based TX power control can price the
+        // transmission by its farthest actual receiver.
         let sender_pos = sender_pos.unwrap_or_else(|| s.position(sender, t));
         let mut receivers = std::mem::take(&mut self.scratch_receivers);
         s.receivers_within(sender, sender_pos, range, t, &mut receivers);
