@@ -1,6 +1,8 @@
 //! Event-driven SS-SPST agent for the MANET simulator.
 //!
-//! One [`SsSpstAgent`] runs on every node. Each beacon interval the agent
+//! One [`SsSpstAgent`] runs on every node. Its cost metric selects SS-SPST, -T, -F, -E
+//! or, under [`MetricKind::Bottleneck`], the minimum-bottleneck tree SS-MST. Each beacon
+//! interval the agent
 //!
 //! 1. expires neighbours it has not heard from,
 //! 2. re-evaluates the guarded commands (same rules as [`crate::sync_model`], but over the
@@ -15,6 +17,7 @@
 
 use crate::beacon::Beacon;
 use crate::metric::{cost_via, MetricKind, MetricParams, ParentView};
+use crate::sync_model::choose_parent;
 use ssmcast_dessim::{SimDuration, SimTime};
 use ssmcast_manet::{
     DataTag, Disposition, NodeCtx, NodeId, Packet, ProtocolAgent, SilenceConfig, Vec2,
@@ -32,7 +35,7 @@ const TIMER_BEACON: u64 = 1;
 /// parent change, state corruption, or an overheard beacon inconsistent with the cached
 /// neighbour view — resets the state and snaps the cadence back to the base interval.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct SilenceState {
+struct SilenceState {
     /// Consecutive quiet rounds observed since the last evidence.
     quiet_rounds: u32,
     /// Current backoff level; the beacon interval is `base * factor^level` (capped).
@@ -43,13 +46,13 @@ pub(crate) struct SilenceState {
 
 impl SilenceState {
     /// The beacon interval at the current backoff level.
-    pub(crate) fn interval(&self, cfg: &SilenceConfig, base: SimDuration) -> SimDuration {
+    fn interval(&self, cfg: &SilenceConfig, base: SimDuration) -> SimDuration {
         cfg.interval_at(base, self.level)
     }
 
     /// Record evidence of illegitimacy. Returns true when the beacon timer was backed
     /// off, i.e. the caller must cancel it and reschedule at the base cadence.
-    pub(crate) fn note_evidence(&mut self) -> bool {
+    fn note_evidence(&mut self) -> bool {
         let was_suppressed = self.level > 0;
         self.evidence = true;
         self.quiet_rounds = 0;
@@ -59,7 +62,7 @@ impl SilenceState {
 
     /// Close one beacon round: a round is quiet when the local legitimacy predicate
     /// held and no evidence arrived since the previous round.
-    pub(crate) fn close_round(&mut self, cfg: &SilenceConfig, locally_legitimate: bool) {
+    fn close_round(&mut self, cfg: &SilenceConfig, locally_legitimate: bool) {
         if !cfg.enabled {
             return;
         }
@@ -90,7 +93,7 @@ pub enum SsSpstPayload {
 /// Configuration of an [`SsSpstAgent`].
 #[derive(Clone, Copy, Debug)]
 pub struct SsSpstConfig {
-    /// Which cost metric to stabilize (selects SS-SPST, -T, -F or -E).
+    /// Which cost metric to stabilize (selects SS-SPST, -T, -F, -E or SS-MST).
     pub kind: MetricKind,
     /// Energy-pricing parameters.
     pub params: MetricParams,
@@ -133,18 +136,16 @@ impl SsSpstConfig {
 /// What this node last heard from one neighbour.
 #[derive(Clone, Debug)]
 struct NeighborEntry {
+    /// The neighbour as a candidate parent: its advertised cost and hop, the distances
+    /// to its children other than this node and, from SS-SPST-E beacons, to its
+    /// potential overhearers.
+    view: ParentView,
     /// Distance to the neighbour, derived from the position it advertised.
     distance: f64,
-    cost: f64,
-    hop: u32,
     member: bool,
     has_downstream_member: bool,
     /// True if the neighbour's advertised parent is this node (i.e. it is our child).
     parent_is_me: bool,
-    /// Distances to the neighbour's children other than this node.
-    child_distances_excluding_me: Vec<f64>,
-    /// Distances to the neighbour's potential overhearers (SS-SPST-E beacons only).
-    non_member_neighbor_distances: Vec<f64>,
     last_heard: SimTime,
     /// Staleness bound for this entry. Scales with the neighbour's advertised
     /// next-beacon bound under suppression, so a correctly silent neighbour is not
@@ -164,8 +165,6 @@ pub struct SsSpstAgent {
     has_downstream_member: bool,
     neighbors: HashMap<NodeId, NeighborEntry>,
     seen_data: HashSet<u64>,
-    parent_changes: u64,
-    beacons_sent: u64,
     silence: SilenceState,
 }
 
@@ -182,15 +181,8 @@ impl SsSpstAgent {
             has_downstream_member: false,
             neighbors: HashMap::new(),
             seen_data: HashSet::new(),
-            parent_changes: 0,
-            beacons_sent: 0,
             silence: SilenceState::default(),
         }
-    }
-
-    /// The metric this agent stabilizes.
-    pub fn kind(&self) -> MetricKind {
-        self.config.kind
     }
 
     /// Current parent (None while disconnected or at the source).
@@ -208,28 +200,9 @@ impl SsSpstAgent {
         self.hop
     }
 
-    /// Number of times this node switched parents (tree churn indicator).
-    pub fn parent_changes(&self) -> u64 {
-        self.parent_changes
-    }
-
-    /// Number of beacons transmitted.
-    pub fn beacons_sent(&self) -> u64 {
-        self.beacons_sent
-    }
-
     /// True if this node currently believes its subtree contains a group member.
     pub fn has_downstream_member(&self) -> bool {
         self.has_downstream_member
-    }
-
-    /// Ids of the neighbours currently claiming this node as their parent.
-    pub fn children(&self, me: NodeId) -> Vec<NodeId> {
-        let _ = me;
-        let mut v: Vec<NodeId> =
-            self.neighbors.iter().filter(|(_, e)| e.parent_is_me).map(|(id, _)| *id).collect();
-        v.sort();
-        v
     }
 
     /// Staleness bound for a neighbour that just sent `b`. With suppression enabled
@@ -270,29 +243,12 @@ impl SsSpstAgent {
     /// The `E_init` / hop bound used by the guarded commands, derived from network size
     /// and radio limits the first time the agent runs.
     fn initialise_bounds(&mut self, ctx: &NodeCtx<'_, SsSpstPayload>) {
-        let n = ctx.n_nodes.max(1) as f64;
         self.max_hops = ctx.n_nodes.max(1) as u32;
-        self.infinity_cost = match self.config.kind {
-            MetricKind::Hop => n * n + 1.0,
-            _ => {
-                let worst = self.config.params.tx(ctx.radio.max_range_m);
-                n * (worst + n * self.config.params.rx()) + 1.0
-            }
-        };
+        self.infinity_cost =
+            self.config.kind.infinity_cost(&self.config.params, ctx.n_nodes, ctx.radio.max_range_m);
         if self.cost.is_infinite() {
             self.cost = self.infinity_cost;
             self.hop = self.max_hops;
-        }
-    }
-
-    /// Build the [`ParentView`] of neighbour `u` as seen from this node.
-    fn view_of(&self, u: NodeId, entry: &NeighborEntry) -> ParentView {
-        let _ = u;
-        ParentView {
-            cost: entry.cost,
-            hop: entry.hop,
-            child_distances: entry.child_distances_excluding_me.clone(),
-            non_member_neighbor_distances: entry.non_member_neighbor_distances.clone(),
         }
     }
 
@@ -304,53 +260,23 @@ impl SsSpstAgent {
             self.parent = None;
             return;
         }
-        let mut best: Option<(NodeId, f64, u32)> = None;
-        let mut via_current: Option<(f64, u32)> = None;
-        for (&u, entry) in &self.neighbors {
-            if entry.cost >= self.infinity_cost || entry.hop.saturating_add(1) > self.max_hops {
-                continue;
-            }
-            let view = self.view_of(u, entry);
-            let c = cost_via(self.config.kind, &self.config.params, &view, entry.distance);
-            let h = entry.hop + 1;
-            if self.parent == Some(u) {
-                via_current = Some((c, h));
-            }
-            match best {
-                None => best = Some((u, c, h)),
-                Some((bu, bc, _)) => {
-                    if c < bc - 1e-12 || ((c - bc).abs() <= 1e-12 && u < bu) {
-                        best = Some((u, c, h));
-                    }
-                }
-            }
-        }
-        match best {
-            None => {
-                if self.parent.is_some() {
-                    self.parent_changes += 1;
-                }
-                self.parent = None;
-                self.cost = self.infinity_cost;
-                self.hop = self.max_hops;
-            }
-            Some((bu, bc, bh)) => {
-                if let (Some(p), Some((cc, ch))) = (self.parent, via_current) {
-                    if cc <= bc * (1.0 + self.config.switch_margin) + 1e-12 {
-                        self.cost = cc;
-                        self.hop = ch;
-                        let _ = p;
-                        return;
-                    }
-                }
-                if self.parent != Some(bu) {
-                    self.parent_changes += 1;
-                }
-                self.parent = Some(bu);
-                self.cost = bc;
-                self.hop = bh;
-            }
-        }
+        let (kind, params) = (self.config.kind, &self.config.params);
+        let candidates = self
+            .neighbors
+            .iter()
+            .filter(|(_, e)| {
+                e.view.cost < self.infinity_cost
+                    && e.view.hop.saturating_add(1) <= self.max_hops
+                    // Loop guard for the minimax metric (see `MetricKind::is_additive`):
+                    // a neighbour claiming this node as its parent is downstream of us.
+                    && (kind.is_additive() || !e.parent_is_me)
+            })
+            .map(|(&u, e)| (u, cost_via(kind, params, &e.view, e.distance), e.view.hop + 1));
+        (self.parent, self.cost, self.hop) =
+            match choose_parent(candidates, self.parent, self.config.switch_margin, true) {
+                Some((u, cost, hop)) => (Some(u), cost, hop),
+                None => (None, self.infinity_cost, self.max_hops),
+            };
     }
 
     /// Recompute the bottom-up pruning flag from the children's advertised flags.
@@ -360,28 +286,24 @@ impl SsSpstAgent {
         self.has_downstream_member = ctx.is_member() || from_children;
     }
 
-    /// Children (id, distance) that lead to group members — the ones data must reach.
-    fn forwarding_children(&self) -> Vec<(NodeId, f64)> {
-        self.neighbors
-            .iter()
-            .filter(|(_, e)| e.parent_is_me && e.has_downstream_member)
-            .map(|(id, e)| (*id, e.distance))
-            .collect()
-    }
-
     /// Broadcast the data identified by `tag`, if this node has anyone to forward it to.
     ///
-    /// The energy-aware variants use power control (reach the farthest relevant child,
+    /// The energy-based metrics use power control (reach the farthest relevant child,
     /// plus a margin for movement since its last beacon); plain SS-SPST is not
     /// energy-aware and transmits at full power, exactly the behaviour its hop metric
     /// prices at zero.
-    fn forward_data(&mut self, ctx: &mut NodeCtx<'_, SsSpstPayload>, tag: DataTag, size: u32) {
-        let targets = self.forwarding_children();
-        if targets.is_empty() {
+    fn forward_data(&self, ctx: &mut NodeCtx<'_, SsSpstPayload>, tag: DataTag, size: u32) {
+        // The farthest child that leads to group members; none means nothing to forward.
+        let Some(far) = self
+            .neighbors
+            .values()
+            .filter(|e| e.parent_is_me && e.has_downstream_member)
+            .map(|e| e.distance)
+            .reduce(f64::max)
+        else {
             return;
-        }
+        };
         let range = if self.config.kind.is_energy_based() {
-            let far = targets.iter().map(|(_, d)| *d).fold(0.0, f64::max);
             (far * self.config.range_margin).min(ctx.radio.max_range_m)
         } else {
             ctx.radio.max_range_m
@@ -421,7 +343,6 @@ impl SsSpstAgent {
         };
         let size = beacon.advertised_wire_size(self.config.kind, self.config.silence.enabled);
         ctx.broadcast_control(size, ctx.radio.max_range_m, SsSpstPayload::Beacon(beacon));
-        self.beacons_sent += 1;
     }
 
     fn schedule_next_beacon(&self, ctx: &mut NodeCtx<'_, SsSpstPayload>) {
@@ -441,21 +362,22 @@ impl NeighborEntry {
         now: SimTime,
         timeout: SimDuration,
     ) -> Self {
-        let distance = my_pos.distance(&b.position);
         NeighborEntry {
-            distance,
-            cost: b.cost,
-            hop: b.hop,
+            view: ParentView {
+                cost: b.cost,
+                hop: b.hop,
+                child_distances: b
+                    .children
+                    .iter()
+                    .filter(|(c, _)| *c != me)
+                    .map(|(_, d)| *d)
+                    .collect(),
+                non_member_neighbor_distances: b.non_member_neighbor_distances.clone(),
+            },
+            distance: my_pos.distance(&b.position),
             member: b.member,
             has_downstream_member: b.has_downstream_member,
             parent_is_me: b.parent == Some(me),
-            child_distances_excluding_me: b
-                .children
-                .iter()
-                .filter(|(c, _)| *c != me)
-                .map(|(_, d)| *d)
-                .collect(),
-            non_member_neighbor_distances: b.non_member_neighbor_distances.clone(),
             last_heard: now,
             timeout,
         }
@@ -496,7 +418,7 @@ impl ProtocolAgent for SsSpstAgent {
                         None => true,
                         Some(prev) => {
                             prev.parent_is_me != entry.parent_is_me
-                                || prev.hop != entry.hop
+                                || prev.view.hop != entry.view.hop
                                 || prev.member != entry.member
                                 || prev.has_downstream_member != entry.has_downstream_member
                         }
@@ -582,8 +504,8 @@ impl ProtocolAgent for SsSpstAgent {
         ids.sort();
         for id in ids {
             let entry = self.neighbors.get_mut(&id).expect("id collected above");
-            entry.cost = rng.gen::<f64>() * bound;
-            entry.hop = rng.gen::<u32>();
+            entry.view.cost = rng.gen::<f64>() * bound;
+            entry.view.hop = rng.gen::<u32>();
             entry.parent_is_me = rng.gen::<bool>();
             entry.has_downstream_member = rng.gen::<bool>();
         }
@@ -652,6 +574,18 @@ mod tests {
             non_member_neighbor_distances: vec![],
             next_beacon_s: 2.0,
         }
+    }
+
+    fn beacon_size(actions: &[Action<SsSpstPayload>]) -> u32 {
+        actions
+            .iter()
+            .find_map(|a| match a {
+                Action::Broadcast { class: PacketClass::Control, size_bytes, .. } => {
+                    Some(*size_bytes)
+                }
+                _ => None,
+            })
+            .expect("beacon emitted")
     }
 
     fn timer_delay(actions: &[Action<SsSpstPayload>]) -> SimDuration {
@@ -870,15 +804,7 @@ mod tests {
                 let mut ctx = h.ctx(SimTime::from_secs(2), me, my_pos, GroupRole::Member);
                 agent.on_timer(&mut ctx, TIMER_BEACON, 0);
             }
-            h.actions
-                .iter()
-                .find_map(|a| match a {
-                    Action::Broadcast { class: PacketClass::Control, size_bytes, .. } => {
-                        Some(*size_bytes)
-                    }
-                    _ => None,
-                })
-                .expect("beacon emitted")
+            beacon_size(&h.actions)
         };
         assert!(run(MetricKind::EnergyAware) > run(MetricKind::Hop));
     }
@@ -943,17 +869,7 @@ mod tests {
             );
             agent.on_timer(&mut ctx, TIMER_BEACON, 0);
             delays.push(timer_delay(&h.actions).as_secs_f64());
-            sizes.push(
-                h.actions
-                    .iter()
-                    .find_map(|a| match a {
-                        Action::Broadcast { class: PacketClass::Control, size_bytes, .. } => {
-                            Some(*size_bytes)
-                        }
-                        _ => None,
-                    })
-                    .expect("beacon emitted"),
-            );
+            sizes.push(beacon_size(&h.actions));
         }
         assert!(delays[0] <= 2.1, "round one stays at the base cadence");
         // quiet_rounds = 3, factor 2, cap 8×: levels reach 8 × 2 s = 16 s and hold.
@@ -1004,6 +920,119 @@ mod tests {
         );
         let delay = timer_delay(&h.actions).as_secs_f64();
         assert!(delay <= 2.1, "snap-back reschedules at the base cadence, got {delay}");
+    }
+
+    fn mst_agent() -> SsSpstAgent {
+        SsSpstAgent::new(SsSpstConfig::paper_default(MetricKind::Bottleneck))
+    }
+
+    fn beacon_with_parent(cost: f64, hop: u32, pos: Vec2, parent: Option<NodeId>) -> Beacon {
+        Beacon { parent, ..beacon_from(cost, hop, pos, true, true) }
+    }
+
+    #[test]
+    fn bottleneck_picks_the_minimax_parent_not_the_shortest_path() {
+        // Me at (100, 0). The source is 100 m away; node 1 sits at (60, 0) with a 60 m
+        // bottleneck path to the source. The minimax objective prefers the two-hop
+        // path whose longest link is only 60 m.
+        let mut h = Harness::with_seed(9);
+        let mut agent = mst_agent();
+        let me = NodeId(2);
+        let my_pos = Vec2::new(100.0, 0.0);
+        {
+            let mut ctx = h.ctx(SimTime::ZERO, me, my_pos, GroupRole::Member);
+            agent.start(&mut ctx);
+        }
+        let direct = beacon_with_parent(0.0, 0, Vec2::ZERO, None);
+        let relay = beacon_with_parent(60.0, 1, Vec2::new(60.0, 0.0), Some(NodeId(0)));
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(1), me, my_pos, GroupRole::Member);
+            agent.on_packet(
+                &mut ctx,
+                &Packet::control(NodeId(0), 32, SsSpstPayload::Beacon(direct)),
+            );
+            agent
+                .on_packet(&mut ctx, &Packet::control(NodeId(1), 32, SsSpstPayload::Beacon(relay)));
+        }
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(2), me, my_pos, GroupRole::Member);
+            agent.on_timer(&mut ctx, TIMER_BEACON, 0);
+        }
+        assert_eq!(agent.parent(), Some(NodeId(1)), "minimax prefers the 60 m bottleneck");
+        assert!((agent.cost() - 60.0).abs() < 1e-9);
+        assert_eq!(agent.hop(), 2);
+    }
+
+    #[test]
+    fn bottleneck_never_adopts_a_neighbor_that_claims_us_as_parent() {
+        // Node 5 advertises a tempting bottleneck but lists us as its parent: adopting
+        // it would close a two-cycle. Only the minimax metric needs the guard.
+        let cyclic = beacon_with_parent(1.0, 1, Vec2::new(110.0, 0.0), Some(NodeId(2)));
+        let parent_after = |mut agent: SsSpstAgent| {
+            let mut h = Harness::with_seed(9);
+            let (me, my_pos) = (NodeId(2), Vec2::new(100.0, 0.0));
+            {
+                let mut ctx = h.ctx(SimTime::ZERO, me, my_pos, GroupRole::Member);
+                agent.start(&mut ctx);
+            }
+            {
+                let mut ctx = h.ctx(SimTime::from_secs(1), me, my_pos, GroupRole::Member);
+                let pkt = Packet::control(NodeId(5), 32, SsSpstPayload::Beacon(cyclic.clone()));
+                agent.on_packet(&mut ctx, &pkt);
+            }
+            let mut ctx = h.ctx(SimTime::from_secs(2), me, my_pos, GroupRole::Member);
+            agent.on_timer(&mut ctx, TIMER_BEACON, 0);
+            agent.parent()
+        };
+        assert_eq!(parent_after(mst_agent()), None, "the only candidate is our own child");
+        let hop = SsSpstAgent::new(SsSpstConfig::paper_default(MetricKind::Hop));
+        assert_eq!(parent_after(hop), Some(NodeId(5)), "additive metrics count loops out");
+    }
+
+    #[test]
+    fn bottleneck_forwards_with_power_control() {
+        let mut h = Harness::with_seed(9);
+        let mut agent = mst_agent();
+        let me = NodeId(1);
+        let my_pos = Vec2::new(80.0, 0.0);
+        {
+            let mut ctx = h.ctx(SimTime::ZERO, me, my_pos, GroupRole::Member);
+            agent.start(&mut ctx);
+        }
+        let src = beacon_with_parent(0.0, 0, Vec2::ZERO, None);
+        let child = beacon_with_parent(90.0, 2, Vec2::new(170.0, 0.0), Some(me));
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(1), me, my_pos, GroupRole::Member);
+            agent.on_packet(&mut ctx, &Packet::control(NodeId(0), 32, SsSpstPayload::Beacon(src)));
+            agent
+                .on_packet(&mut ctx, &Packet::control(NodeId(3), 32, SsSpstPayload::Beacon(child)));
+        }
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(2), me, my_pos, GroupRole::Member);
+            agent.on_timer(&mut ctx, TIMER_BEACON, 0);
+        }
+        assert_eq!(agent.parent(), Some(NodeId(0)));
+        let tag = DataTag {
+            group: Default::default(),
+            origin: NodeId(0),
+            seq: 1,
+            created_at: SimTime::from_secs(3),
+        };
+        {
+            let mut ctx = h.ctx(SimTime::from_secs(3), me, my_pos, GroupRole::Member);
+            let data = Packet::data(NodeId(0), 512, tag, SsSpstPayload::Data);
+            assert_eq!(agent.on_packet(&mut ctx, &data), Disposition::Consumed);
+        }
+        assert!(h.actions.iter().any(|a| matches!(a, Action::DeliverData { .. })));
+        let range = h
+            .actions
+            .iter()
+            .find_map(|a| match a {
+                Action::Broadcast { class: PacketClass::Data, range_m, .. } => Some(*range_m),
+                _ => None,
+            })
+            .expect("data forwarded toward the child");
+        assert!((range - 90.0 * 1.10).abs() < 1e-9, "reach the 90 m child plus margin: {range}");
     }
 
     #[test]

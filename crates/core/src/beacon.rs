@@ -49,7 +49,7 @@ impl Beacon {
     pub fn wire_size(&self, kind: MetricKind) -> u32 {
         let base = 24u32;
         match kind {
-            MetricKind::Hop | MetricKind::TxLink => base,
+            MetricKind::Hop | MetricKind::TxLink | MetricKind::Bottleneck => base,
             MetricKind::Farthest => base + 3 * self.children.len() as u32,
             MetricKind::EnergyAware => {
                 base + 3 * self.children.len() as u32
@@ -67,12 +67,6 @@ impl Beacon {
     /// [`Beacon::wire_size`] byte for byte.
     pub fn advertised_wire_size(&self, kind: MetricKind, advertise_bound: bool) -> u32 {
         self.wire_size(kind) + if advertise_bound { Self::BOUND_FIELD_BYTES } else { 0 }
-    }
-
-    /// Distance to the farthest advertised child, excluding `exclude` (the evaluating
-    /// node, when it is already one of the sender's children).
-    pub fn farthest_child_excluding(&self, exclude: NodeId) -> f64 {
-        self.children.iter().filter(|(c, _)| *c != exclude).map(|(_, d)| *d).fold(0.0, f64::max)
     }
 }
 
@@ -102,6 +96,7 @@ mod tests {
         let f = b.wire_size(MetricKind::Farthest);
         let e = b.wire_size(MetricKind::EnergyAware);
         assert_eq!(hop, t);
+        assert_eq!(hop, b.wire_size(MetricKind::Bottleneck), "SS-MST beacons are link-based");
         assert!(f > hop, "node-based beacons carry child lists");
         assert!(e > f, "SS-SPST-E beacons carry overhearer info (Figure 13)");
         assert_eq!(f, 24 + 6);
@@ -118,14 +113,5 @@ mod tests {
                 b.wire_size(kind) + Beacon::BOUND_FIELD_BYTES
             );
         }
-    }
-
-    #[test]
-    fn farthest_child_excludes_the_asker() {
-        let b = beacon();
-        assert_eq!(b.farthest_child_excluding(NodeId(9)), 120.0);
-        assert_eq!(b.farthest_child_excluding(NodeId(4)), 80.0);
-        let empty = Beacon { children: vec![], ..beacon() };
-        assert_eq!(empty.farthest_child_excluding(NodeId(0)), 0.0);
     }
 }

@@ -14,7 +14,8 @@
 //! * [`agent::SsSpstAgent`] — an event-driven [`ssmcast_manet::ProtocolAgent`] that runs
 //!   inside the MANET simulator: periodic beacons carry the protocol variables, neighbour
 //!   tables expire, the tree is pruned bottom-up, and data is forwarded down the tree with
-//!   power control. This is what the paper's Figures 7–16 evaluate.
+//!   power control. This is what the paper's Figures 7–16 evaluate. The same agent
+//!   runs SS-MST, a minimum-bottleneck tree, under [`MetricKind::Bottleneck`].
 //!
 //! ```
 //! use ssmcast_core::{figure1_topology, MetricKind, MetricParams, SyncModel};
@@ -33,7 +34,6 @@ pub mod beacon;
 pub mod graph;
 pub mod metric;
 pub mod min_energy;
-pub mod mst;
 pub mod paper_example;
 pub mod probe;
 pub mod sync_model;
@@ -44,7 +44,6 @@ pub use beacon::Beacon;
 pub use graph::MulticastTopology;
 pub use metric::{cost_via, join_overhead, node_cost, MetricKind, MetricParams, ParentView};
 pub use min_energy::{min_energy_tree, tree_tx_power};
-pub use mst::{SsMstAgent, SsMstConfig};
 pub use paper_example::{figure1_topology, run_all_examples, run_example, ExampleResult};
 pub use probe::{is_legitimate, legitimate_over, session_legitimate, StabilizationProbe};
 pub use sync_model::{NodeState, RoundReport, SyncModel};

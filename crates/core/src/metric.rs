@@ -13,6 +13,10 @@
 //!   *discard energy* wasted by non-group neighbours that overhear the transmission
 //!   (equations 3 and 4).
 //!
+//! A fifth metric, **Bottleneck (SS-MST)**, runs the same guarded commands toward a
+//! minimum-bottleneck spanning tree in the style of Blin, Potop-Butucaru, Rovedakis and
+//! Tixeuil: a path costs its longest single link, `l(v) = max(l(u), |u, v|)`.
+//!
 //! During stabilization each node `v` estimates, for every candidate parent `u`, the
 //! *overhead* `C(u, v)` that attaching `v` under `u` adds to the tree, and minimises the
 //! accumulated overhead `l(u) + C(u, v)` along the path to the source (Section 5).
@@ -31,10 +35,12 @@ pub enum MetricKind {
     Farthest,
     /// Costliest-neighbour node energy plus discard/overhearing energy (SS-SPST-E).
     EnergyAware,
+    /// Longest link on the path to the source (SS-MST). Not one of the paper's four.
+    Bottleneck,
 }
 
 impl MetricKind {
-    /// All four variants, in the order the paper introduces them.
+    /// The paper's four variants, in the order it introduces them.
     pub const ALL: [MetricKind; 4] =
         [MetricKind::Hop, MetricKind::TxLink, MetricKind::Farthest, MetricKind::EnergyAware];
 
@@ -45,12 +51,43 @@ impl MetricKind {
             MetricKind::TxLink => "SS-SPST-T",
             MetricKind::Farthest => "SS-SPST-F",
             MetricKind::EnergyAware => "SS-SPST-E",
+            MetricKind::Bottleneck => "SS-MST",
         }
     }
 
-    /// True for the metrics that price energy (everything but hop count).
+    /// True for the metrics that price energy (everything but hop count; the longest
+    /// link sets the highest transmit power on a path). These trees forward data with
+    /// power control.
     pub fn is_energy_based(self) -> bool {
         !matches!(self, MetricKind::Hop)
+    }
+
+    /// True when joining a parent always costs something (every metric but
+    /// Bottleneck). Under a minimax cost a child can offer its own parent a path at the
+    /// same cost, so the Bottleneck guarded command must never adopt a neighbour that
+    /// claims this node as its parent; the additive metrics break such loops by
+    /// counting up to the infinity bound.
+    pub(crate) fn is_additive(self) -> bool {
+        !matches!(self, MetricKind::Bottleneck)
+    }
+
+    /// `E_init`: a cost strictly greater than any legitimate path cost in a network of
+    /// `n_nodes` whose longest usable link is `worst_link_m`.
+    pub(crate) fn infinity_cost(
+        self,
+        params: &MetricParams,
+        n_nodes: usize,
+        worst_link_m: f64,
+    ) -> f64 {
+        let n = n_nodes.max(1) as f64;
+        match self {
+            MetricKind::Hop => n * n + 1.0,
+            // A legitimate bottleneck is a single link length.
+            MetricKind::Bottleneck => worst_link_m + 1.0,
+            // Every node transmitting over the worst link plus everyone receiving it:
+            // comfortably above any real tree cost.
+            _ => n * (params.tx(worst_link_m) + n * params.rx()) + 1.0,
+        }
     }
 
     /// True for the node-based metrics (F and E).
@@ -145,21 +182,28 @@ pub fn join_overhead(
             let delta_discard = (new_overhear - old_overhear) as f64 * params.rx();
             delta_tx + params.rx() + delta_discard
         }
+        // Joining raises the path's longest link only if the new link is longer.
+        MetricKind::Bottleneck => (distance_m - parent.cost).max(0.0),
     }
 }
 
-/// Accumulated path cost of joining `u`: `l(u) + C(u, v)`.
+/// Accumulated path cost of joining `u`: `l(u) + C(u, v)`, or `max(l(u), |u, v|)` under
+/// the Bottleneck metric.
 pub fn cost_via(
     kind: MetricKind,
     params: &MetricParams,
     parent: &ParentView,
     distance_m: f64,
 ) -> f64 {
-    parent.cost + join_overhead(kind, params, parent, distance_m)
+    match kind {
+        MetricKind::Bottleneck => parent.cost.max(distance_m),
+        _ => parent.cost + join_overhead(kind, params, parent, distance_m),
+    }
 }
 
 /// The *node cost* of a tree node (equations 2 and 4): what `v` itself spends per data
-/// packet given its children and, for SS-SPST-E, the overhearers inside its range.
+/// packet given its children and, for SS-SPST-E, the overhearers inside its range. Under
+/// the Bottleneck metric it is the longest link `v` transmits over.
 ///
 /// * `child_distances` — distances from `v` to each of its tree children.
 /// * `tree_neighbor_count` — children plus the parent (the paper's `k`).
@@ -184,6 +228,7 @@ pub fn node_cost(
                 * params.rx();
             tx + tree_neighbor_count as f64 * params.rx() + discard
         }
+        MetricKind::Bottleneck => far,
     }
 }
 
@@ -204,6 +249,23 @@ mod tests {
         assert!(MetricKind::EnergyAware.is_energy_based());
         assert!(MetricKind::EnergyAware.is_node_based());
         assert!(!MetricKind::TxLink.is_node_based());
+        assert_eq!(MetricKind::Bottleneck.protocol_name(), "SS-MST");
+        assert!(MetricKind::Bottleneck.is_energy_based(), "SS-MST forwards with power control");
+        assert!(MetricKind::ALL.iter().all(|k| k.is_additive()));
+        assert!(!MetricKind::Bottleneck.is_additive());
+    }
+
+    #[test]
+    fn bottleneck_cost_is_the_longest_link() {
+        let p = params();
+        let pv = ParentView { cost: 60.0, hop: 1, ..Default::default() };
+        assert_eq!(cost_via(MetricKind::Bottleneck, &p, &pv, 40.0), 60.0);
+        assert_eq!(cost_via(MetricKind::Bottleneck, &p, &pv, 100.0), 100.0);
+        assert_eq!(join_overhead(MetricKind::Bottleneck, &p, &pv, 40.0), 0.0);
+        assert_eq!(node_cost(MetricKind::Bottleneck, &p, &[100.0, 150.0], 3, &[]), 150.0);
+        // Infinity sits just above the longest usable link.
+        assert_eq!(MetricKind::Bottleneck.infinity_cost(&p, 50, 250.0), 251.0);
+        assert_eq!(MetricKind::Hop.infinity_cost(&p, 50, 250.0), 2501.0);
     }
 
     #[test]

@@ -74,7 +74,7 @@ pub fn min_energy_tree(topo: &MulticastTopology, params: &MetricParams) -> Multi
 pub fn tree_tx_power(tree: &MulticastTree, topo: &MulticastTopology, params: &MetricParams) -> f64 {
     topo.nodes()
         .map(|v| {
-            let far = tree.child_distances_in(topo, v).into_iter().fold(0.0f64, f64::max);
+            let far = tree.child_distances(topo, v).into_iter().fold(0.0f64, f64::max);
             if far > 0.0 {
                 params.tx(far)
             } else {

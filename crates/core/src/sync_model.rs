@@ -1,4 +1,5 @@
-//! Synchronous round-based model of the SS-SPST-E self-stabilization algorithm.
+//! Synchronous round-based model of the SS-SPST-E self-stabilization algorithm (and,
+//! under [`MetricKind::Bottleneck`], of SS-MST).
 //!
 //! The paper measures stabilization in *rounds*: a round is the period in which every node
 //! has heard one beacon from each neighbour and recomputed its state. This module runs the
@@ -81,20 +82,12 @@ impl SyncModel {
     /// `E_init`: strictly greater than the maximum possible tree cost, which the paper
     /// bounds by the cost of the source reaching every node in one hop.
     fn infinity_for(topo: &MulticastTopology, kind: MetricKind, params: &MetricParams) -> f64 {
-        let n = topo.len().max(1) as f64;
-        match kind {
-            MetricKind::Hop => n * n + 1.0,
-            _ => {
-                let worst_link = topo
-                    .nodes()
-                    .flat_map(|v| topo.neighbors(v).iter().map(|(_, d)| *d))
-                    .fold(0.0, f64::max)
-                    .max(1.0);
-                // Every node transmitting to the worst link plus everyone receiving it:
-                // comfortably above any real tree cost.
-                n * (params.tx(worst_link) + n * params.rx()) + 1.0
-            }
-        }
+        let worst_link = topo
+            .nodes()
+            .flat_map(|v| topo.neighbors(v).iter().map(|(_, d)| *d))
+            .fold(0.0, f64::max)
+            .max(1.0);
+        kind.infinity_cost(params, topo.len(), worst_link)
     }
 
     /// The cost value representing "not connected".
@@ -194,43 +187,20 @@ impl SyncModel {
             return NodeState { cost: 0.0, hop: 0, parent: None };
         }
         // N^h_v: neighbours that could serve as parents without exceeding the hop bound.
-        let mut best: Option<(NodeId, f64, u32)> = None;
-        let mut via_current: Option<(f64, u32)> = None;
-        let current_parent = self.state[v.index()].parent;
-        for &(u, d) in self.topo.neighbors(v) {
+        let candidates = self.topo.neighbors(v).iter().filter_map(|&(u, d)| {
             let su = self.state[u.index()];
-            if su.cost >= self.infinity_cost || su.hop + 1 > self.max_hops {
-                continue;
-            }
-            let view = self.parent_view(u, v);
-            let c = cost_via(self.kind, &self.params, &view, d);
-            let h = su.hop + 1;
-            if current_parent == Some(u) {
-                via_current = Some((c, h));
-            }
-            match best {
-                None => best = Some((u, c, h)),
-                Some((bu, bc, _)) => {
-                    if c < bc - 1e-12 || (c <= bc + 1e-12 && u < bu) {
-                        best = Some((u, c, h));
-                    }
-                }
-            }
-        }
-        match best {
+            let usable = su.cost < self.infinity_cost
+                && su.hop.saturating_add(1) <= self.max_hops
+                // The minimax loop guard (see `MetricKind::is_additive`).
+                && (self.kind.is_additive() || su.parent != Some(v));
+            usable.then(|| {
+                (u, cost_via(self.kind, &self.params, &self.parent_view(u, v), d), su.hop + 1)
+            })
+        });
+        let current = self.state[v.index()].parent;
+        match choose_parent(candidates, current, self.switch_margin, allow_switch) {
+            Some((u, cost, hop)) => NodeState { cost, hop, parent: Some(u) },
             None => NodeState { cost: self.infinity_cost, hop: self.max_hops, parent: None },
-            Some((bu, bc, bh)) => {
-                // Keep the current parent if it is still usable and either (a) not
-                // meaningfully worse than the best alternative (hysteresis) or (b) this
-                // node is not scheduled to switch this round (parity gating). Both damp
-                // the coupled re-pricing oscillations of the node-based metrics.
-                if let (Some(p), Some((cc, ch))) = (current_parent, via_current) {
-                    if !allow_switch || cc <= bc * (1.0 + self.switch_margin) + 1e-12 {
-                        return NodeState { cost: cc, hop: ch, parent: Some(p) };
-                    }
-                }
-                NodeState { cost: bc, hop: bh, parent: Some(bu) }
-            }
         }
     }
 
@@ -273,6 +243,42 @@ impl SyncModel {
             let cur = self.state[v.index()];
             (cur.cost - next.cost).abs() <= 1e-9 && cur.hop == next.hop && cur.parent == next.parent
         })
+    }
+}
+
+/// The guarded command's parent choice, shared by [`SyncModel`] and the event-driven
+/// agent. `candidates` are the usable neighbours `(u, cost via u, hop via u)`. The
+/// cheapest wins, ties within 1e-12 going to the lower id, unless `current` is still a
+/// candidate and either within `switch_margin` of the best (hysteresis against
+/// flapping) or `may_switch` is false (the synchronous model's parity gate, which damps
+/// the coupled re-pricing oscillations of the node-based metrics). `None` means no
+/// neighbour is usable and the node detaches.
+pub(crate) fn choose_parent(
+    candidates: impl IntoIterator<Item = (NodeId, f64, u32)>,
+    current: Option<NodeId>,
+    switch_margin: f64,
+    may_switch: bool,
+) -> Option<(NodeId, f64, u32)> {
+    let mut best: Option<(NodeId, f64, u32)> = None;
+    let mut via_current = None;
+    for (u, c, h) in candidates {
+        if current == Some(u) {
+            via_current = Some((u, c, h));
+        }
+        let better = match best {
+            None => true,
+            Some((bu, bc, _)) => c < bc - 1e-12 || ((c - bc).abs() <= 1e-12 && u < bu),
+        };
+        if better {
+            best = Some((u, c, h));
+        }
+    }
+    let (_, best_cost, _) = best?;
+    match via_current {
+        Some((_, cc, _)) if !may_switch || cc <= best_cost * (1.0 + switch_margin) + 1e-12 => {
+            via_current
+        }
+        _ => best,
     }
 }
 
@@ -382,6 +388,25 @@ mod tests {
             assert!(rounds > 0);
             assert!(m.tree().is_spanning(), "{kind:?} must rebuild a spanning tree");
             assert!(!m.tree().has_cycle(), "Lemma 3: no loops after stabilization");
+        }
+    }
+
+    #[test]
+    fn bottleneck_metric_builds_the_minimax_tree_from_any_state() {
+        use rand::SeedableRng;
+        // Node 3 reaches the source over the 240 m chord in one hop or over three
+        // 100 m links; the minimax tree takes the chain, whose longest link is 100 m.
+        let topo = line_with_chord();
+        for seed in 0..20 {
+            let mut m =
+                SyncModel::new(topo.clone(), MetricKind::Bottleneck, MetricParams::default());
+            m.scramble(&mut rand::rngs::StdRng::seed_from_u64(seed));
+            m.run_to_stabilization(60).expect("self-stabilizes from garbage");
+            let tree = m.tree();
+            assert!(tree.is_spanning() && !tree.has_cycle(), "seed {seed}");
+            assert_eq!(tree.parent(NodeId(3)), Some(NodeId(2)), "seed {seed}");
+            assert_eq!(tree.bottleneck_cost(&topo), 100.0);
+            assert_eq!(m.state(NodeId(3)).cost, 100.0, "a path costs its longest link");
         }
     }
 

@@ -152,7 +152,7 @@ impl MulticastTree {
 
     /// Per-node distances to children, restricted to children that still are neighbours in
     /// `topo` (a moved-away child contributes nothing — the link is broken).
-    fn child_distances(&self, topo: &MulticastTopology, v: NodeId) -> Vec<f64> {
+    pub fn child_distances(&self, topo: &MulticastTopology, v: NodeId) -> Vec<f64> {
         self.children(v).into_iter().filter_map(|c| topo.distance(v, c)).collect()
     }
 
@@ -220,11 +220,6 @@ impl MulticastTree {
             total += receivers as f64 * params.rx();
         }
         total
-    }
-
-    /// The child distances of `v` (public helper for agents and tests).
-    pub fn child_distances_in(&self, topo: &MulticastTopology, v: NodeId) -> Vec<f64> {
-        self.child_distances(topo, v)
     }
 
     /// The bottleneck cost of the tree: the longest single link among its edges still

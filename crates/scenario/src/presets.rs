@@ -330,7 +330,7 @@ impl FigureId {
                 protocols: vec![
                     ProtocolKind::SsSpst(MetricKind::Hop),
                     ProtocolKind::SsSpst(MetricKind::EnergyAware),
-                    ProtocolKind::SsMst,
+                    ProtocolKind::SsSpst(MetricKind::Bottleneck),
                 ],
                 metric: Metric::SteadyControlBytes,
             },
@@ -648,7 +648,7 @@ mod tests {
         assert_eq!(spec.metric, Metric::SteadyControlBytes);
         assert_eq!(spec.xs, vec![1.0, 2.0, 4.0, 8.0, 16.0]);
         assert_eq!(spec.protocols.len(), 3, "the three self-stabilizing tree protocols");
-        assert!(spec.protocols.contains(&ProtocolKind::SsMst));
+        assert!(spec.protocols.contains(&ProtocolKind::SsSpst(MetricKind::Bottleneck)));
         let base = base_scenario_for(&spec);
         assert_eq!(base.mobility, MobilityKind::StaticGrid);
         assert!(!base.silence.enabled, "the sweep itself switches suppression on per column");

@@ -10,8 +10,8 @@
 use crate::scenario::{ProtocolKind, Scenario};
 use ssmcast_baselines::{FloodingAgent, MaodvAgent, MinEnergyAgent, OdmrpAgent};
 use ssmcast_core::{
-    min_energy_tree, MetricKind, MetricParams, MulticastTopology, SsMstAgent, SsMstConfig,
-    SsSpstAgent, SsSpstConfig, StabilizationProbe,
+    min_energy_tree, MetricKind, MetricParams, MulticastTopology, SsSpstAgent, SsSpstConfig,
+    StabilizationProbe,
 };
 use ssmcast_dessim::{SimDuration, SimTime};
 use ssmcast_manet::{
@@ -202,16 +202,6 @@ impl ProtocolKind {
                 kind.protocol_name(),
                 move |scenario: &Scenario, _node| SsSpstAgent::new(ss_spst_config(scenario, kind)),
             )),
-            ProtocolKind::SsMst => {
-                Arc::new(FnProtocol::from_agent_fn("SS-MST", |scenario: &Scenario, _node| {
-                    SsMstAgent::new(SsMstConfig {
-                        silence: scenario.silence,
-                        ..SsMstConfig::with_beacon_interval(SimDuration::from_secs_f64(
-                            scenario.beacon_interval_s,
-                        ))
-                    })
-                }))
-            }
             ProtocolKind::Maodv => {
                 Arc::new(FnProtocol::from_agent_fn("MAODV", |_, _| MaodvAgent::with_defaults()))
             }
@@ -236,7 +226,7 @@ impl ProtocolKind {
         let mut kinds: Vec<ProtocolKind> =
             MetricKind::ALL.iter().map(|&k| ProtocolKind::SsSpst(k)).collect();
         kinds.extend([
-            ProtocolKind::SsMst,
+            ProtocolKind::SsSpst(MetricKind::Bottleneck),
             ProtocolKind::Maodv,
             ProtocolKind::Odmrp,
             ProtocolKind::Flooding,
@@ -274,8 +264,8 @@ impl ProtocolRegistry {
         Self::default()
     }
 
-    /// A registry pre-populated with every built-in protocol: the four SS-SPST variants,
-    /// MAODV, ODMRP and blind flooding, keyed by their figure-legend names.
+    /// A registry pre-populated with every built-in protocol (see
+    /// [`ProtocolKind::all_builtin`]), keyed by their figure-legend names.
     pub fn with_builtins() -> Self {
         let mut registry = Self::new();
         for kind in ProtocolKind::all_builtin() {

@@ -12,11 +12,9 @@ use ssmcast_metrics::MetricsConfig;
 /// Which multicast protocol to run on a scenario.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
 pub enum ProtocolKind {
-    /// One of the SS-SPST family, selected by its cost metric.
+    /// One of the self-stabilizing tree protocols, selected by its cost metric: the
+    /// SS-SPST family, or SS-MST under [`MetricKind::Bottleneck`].
     SsSpst(MetricKind),
-    /// Self-stabilizing minimum-bottleneck spanning tree (loop-free construction in
-    /// the style of Blin et al.), sharing the SS-SPST beacon machinery.
-    SsMst,
     /// Multicast AODV (tree-based, on-demand).
     Maodv,
     /// ODMRP (mesh-based, on-demand).
@@ -36,7 +34,6 @@ impl ProtocolKind {
     pub fn name(self) -> &'static str {
         match self {
             ProtocolKind::SsSpst(kind) => kind.protocol_name(),
-            ProtocolKind::SsMst => "SS-MST",
             ProtocolKind::Maodv => "MAODV",
             ProtocolKind::Odmrp => "ODMRP",
             ProtocolKind::Flooding => "Flooding",
@@ -347,7 +344,7 @@ mod tests {
     #[test]
     fn names_match_figure_legends() {
         assert_eq!(ProtocolKind::SsSpst(MetricKind::EnergyAware).name(), "SS-SPST-E");
-        assert_eq!(ProtocolKind::SsMst.name(), "SS-MST");
+        assert_eq!(ProtocolKind::SsSpst(MetricKind::Bottleneck).name(), "SS-MST");
         assert_eq!(ProtocolKind::Odmrp.name(), "ODMRP");
         assert_eq!(ProtocolKind::Maodv.name(), "MAODV");
         let names: Vec<_> = ProtocolKind::paper_four().iter().map(|p| p.name()).collect();

@@ -1,6 +1,6 @@
 //! Property-based tests of the paper's Section-5 lemmas on randomly generated connected
 //! topologies: convergence from arbitrary states, closure once stabilized, and
-//! loop-freedom (no count-to-infinity).
+//! loop-freedom (no count-to-infinity), plus SS-MST's minimax optimality.
 //!
 //! Quiescence note: for the link-based metrics (Hop, SS-SPST-T) the guarded commands are a
 //! Bellman-Ford relaxation and the synchronous model provably quiesces, which is asserted
@@ -153,6 +153,39 @@ proptest! {
                 ea_energy <= hop_energy * 1.5 + 1e-12,
                 "SS-SPST-E tree ({ea_energy}) blew up relative to SS-SPST ({hop_energy})"
             );
+        }
+    }
+
+    /// SS-MST (the Bottleneck metric) re-stabilizes from arbitrary states to a
+    /// loop-free tree whose every path is within the 5 % switch hysteresis of the
+    /// minimax optimum. Its cost never counts to infinity around a loop (a path costs
+    /// its longest link), so only the hop bound and the child loop guard break cycles.
+    #[test]
+    fn bottleneck_metric_recovers_the_minimax_tree_from_arbitrary_states(
+        seed in 0u64..10_000,
+        scramble_seed in 0u64..10_000,
+        n in 5usize..16,
+    ) {
+        let topo = random_connected_topology(seed, n, 0xAAAA_AAAA);
+        let mut model = SyncModel::new(topo.clone(), MetricKind::Bottleneck, MetricParams::default());
+        model.scramble(&mut StdRng::seed_from_u64(scramble_seed));
+        prop_assert!(settle(&mut model, 20 * n), "SS-MST did not re-stabilize from garbage");
+        let tree = model.tree();
+        prop_assert!(tree.is_spanning() && !tree.has_cycle());
+        // Minimax path values from the source, by Bellman-Ford over max instead of +.
+        let mut best = vec![f64::INFINITY; n];
+        best[0] = 0.0;
+        for _ in 0..n {
+            for v in topo.nodes() {
+                for &(u, d) in topo.neighbors(v) {
+                    best[v.index()] = best[v.index()].min(best[u.index()].max(d));
+                }
+            }
+        }
+        for v in topo.nodes() {
+            let cost = model.state(v).cost;
+            let opt = best[v.index()];
+            prop_assert!(cost >= opt - 1e-9 && cost <= opt * 1.05 + 1e-9, "{v:?}: {cost} vs {opt}");
         }
     }
 

@@ -6,7 +6,7 @@
 //! seeded fault schedule.
 
 use ssmcast::core::MetricKind;
-use ssmcast::manet::FaultPlanSpec;
+use ssmcast::manet::{FaultPlanSpec, SilenceConfig};
 use ssmcast::scenario::{
     run_protocol, Experiment, MobilityKind, ProtocolKind, Scenario, SweptParameter,
 };
@@ -56,6 +56,21 @@ fn every_ss_preset_recovers_from_a_corruption_burst_within_bounded_beacon_rounds
             c.epochs_legitimate > c.epochs_probed / 2,
             "{name}: a static grid should be legitimate most of the run"
         );
+    }
+}
+
+#[test]
+fn ss_mst_recovers_from_a_corruption_burst_within_bounded_beacon_rounds() {
+    // SS-MST is the same agent under the Bottleneck metric, so it must meet the same
+    // bound as the four SS-SPST variants, with and without beacon suppression.
+    let s = fault_scenario();
+    for s in [s, s.with_silence(SilenceConfig::on())] {
+        let c = convergence_of(&s, ProtocolKind::SsSpst(MetricKind::Bottleneck));
+        assert_eq!(c.faults_injected, 8);
+        assert!(c.first_legitimate_s.is_some(), "the tree must form before the fault");
+        assert_eq!((c.unrecovered, c.recovered >= 1), (0, true), "the burst must heal");
+        assert!(c.max_recovery_s <= 10.0 * s.beacon_interval_s, "took {:.1}s", c.max_recovery_s);
+        assert!(c.epochs_legitimate > c.epochs_probed / 2);
     }
 }
 
