@@ -896,6 +896,50 @@ mod tests {
         assert_eq!(merged, direct);
     }
 
+    #[test]
+    fn exact_dedup_never_lapses_and_node_disjoint_pieces_merge_exactly() {
+        let window = SimDuration::from_secs(1);
+        let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
+        // The one intended difference between the modes: a receiver that gets seq 0
+        // after seq 5 000 has lapsed streaming's 1024-sequence window.
+        let mut exact = Trace::new(window);
+        let mut streaming = Trace::with_config(window, &MetricsConfig::streaming());
+        for tr in [&mut exact, &mut streaming] {
+            tr.record_generated(0, at(0), 1);
+            tr.record_generated(5_000, at(10), 1);
+            tr.record_delivery(&tag(5_000, 10), NodeId(1), at(20));
+            tr.record_delivery(&tag(0, 0), NodeId(1), at(30));
+        }
+        assert_eq!((exact.delivered_count(), exact.duplicate_deliveries), (2, 0));
+        assert_eq!((streaming.delivered_count(), streaming.duplicate_deliveries), (1, 1));
+
+        // Exact traces split into two node-disjoint pieces merge back to the unsplit one,
+        // including the duplicate state: a late copy is a duplicate either way.
+        let mut whole = Trace::new(window);
+        let mut pieces = [Trace::new(window), Trace::new(window)];
+        for seq in [0u64, 3_000, 7, 9_000] {
+            whole.record_generated(seq, at(seq), 3);
+            pieces[0].record_generated(seq, at(seq), 3);
+            for rx in 1..=3u32 {
+                for copy in 0..2 {
+                    let now = at(seq + u64::from(rx) + copy);
+                    whole.record_delivery(&tag(seq, seq), NodeId(rx), now);
+                    pieces[(rx % 2) as usize].record_delivery(&tag(seq, seq), NodeId(rx), now);
+                }
+            }
+        }
+        let [mut merged, odd] = pieces;
+        merged.absorb(&odd);
+        for tr in [&mut whole, &mut merged] {
+            tr.record_delivery(&tag(7, 7), NodeId(1), at(9_500));
+        }
+        let finish =
+            |tr: &Trace| tr.finish("p", SimDuration::from_secs(10), 0.5, 0.25, 0, 512, 0.95);
+        assert_eq!(finish(&merged), finish(&whole));
+        assert_eq!(finish(&whole).delivered, 12);
+        assert_eq!(finish(&whole).duplicate_deliveries, 13);
+    }
+
     /// Drive one exact and one streaming trace through the same event sequence.
     fn mirrored_traces() -> (Trace, Trace) {
         let window = SimDuration::from_secs(1);

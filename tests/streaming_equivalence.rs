@@ -118,6 +118,47 @@ fn histogram_quantiles_sit_within_one_bin_of_a_fine_reference() {
 }
 
 #[test]
+fn histogram_quantiles_sit_within_one_bin_of_exact_order_statistics() {
+    // Known delays, one fresh delivery each, plus late duplicate copies that must not be
+    // binned: they would drag the maximum and the upper quantiles out to 900 ms.
+    let window = SimDuration::from_secs(1);
+    let mut tr = Trace::with_config(window, &MetricsConfig::streaming());
+    let mut delays_ns = Vec::new();
+    let mut state = 7u64;
+    for seq in 0..400u64 {
+        let t = SimTime::from_secs_f64(seq as f64 * 0.25);
+        let tag = DataTag { group: GroupId(0), origin: NodeId(0), seq, created_at: t };
+        tr.record_generated(seq, t, 1);
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        let delay = SimDuration::from_nanos((state >> 33) % 300_000_000);
+        delays_ns.push(delay.as_nanos());
+        tr.record_delivery(&tag, NodeId(1), t + delay);
+        if seq % 4 == 0 {
+            tr.record_delivery(&tag, NodeId(1), t + SimDuration::from_millis(900));
+        }
+    }
+    delays_ns.sort_unstable();
+    let r = tr.finish("p", SimDuration::from_secs(100), 0.0, 0.0, 0, 512, 0.95);
+    assert_eq!((r.delivered, r.duplicate_deliveries), (400, 100));
+    let block = r.streaming.expect("streaming run attaches the block");
+    assert_eq!(block.latency_overflow, 0);
+    let order_statistic_ms = |q: f64| {
+        let rank = ((q * delays_ns.len() as f64).ceil() as usize).clamp(1, delays_ns.len());
+        delays_ns[rank - 1] as f64 / 1e6
+    };
+    for (q, est) in [(0.50, block.latency_p50_ms), (0.95, block.latency_p95_ms)] {
+        let exact = order_statistic_ms(q);
+        assert!(
+            (est - exact).abs() <= block.latency_bin_width_ms,
+            "p{}: {est} ms vs exact {exact} ms exceeds one bin",
+            q * 100.0
+        );
+    }
+    // The maximum is tracked exactly, independent of binning.
+    assert_eq!(block.latency_max_ms.to_bits(), (delays_ns[399] as f64 / 1e6).to_bits());
+}
+
+#[test]
 fn streaming_runs_are_deterministic_and_query_mode_invariant() {
     let render = |s: &Scenario| {
         serde_json::to_string(&report(s, ProtocolKind::Flooding)).expect("reports serialize")
