@@ -8,7 +8,8 @@
 //! conservative lockstep windows bounded by the radio's minimum propagation delay.
 //! The sharded engine is deterministic and *shard-count invariant* — the same setup
 //! yields byte-identical reports at 1, 2 or 8 shards. Both engines run the same per-node
-//! semantics; the sharded one reads positions frozen per sync window, draws loss from
+//! semantics; the sharded one reads positions frozen per [`EngineConfig::SYNC_WINDOW`]
+//! (250 ms), draws loss from
 //! per-sender streams and evaluates carrier capture at delivery (see `EXPERIMENTS.md`).
 //! On exact physics the two engines produce byte-identical reports
 //! (`tests/engine_equivalence.rs`).
@@ -17,31 +18,23 @@ use serde::{Deserialize, Serialize};
 use ssmcast_dessim::SimDuration;
 
 /// How the runtime drains its event queue.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Number of spatial shards (worker threads). `0` — the default — selects the
     /// classic sequential engine; any positive count selects the sharded engine, whose
     /// results are invariant in this number.
     pub shards: u32,
-    /// Cadence at which the sharded engine refreshes mobility positions and rebuilds
-    /// its spatial index (the sequential engine moves nodes continuously). Smaller
-    /// windows track motion more faithfully; larger windows synchronise less often.
-    pub sync_window: SimDuration,
     /// Attach an [`ssmcast_metrics::EngineStats`] block to the report. Off by default
     /// so reports stay byte-identical to builds that predate the block.
     pub stats: bool,
 }
 
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig { shards: 0, sync_window: EngineConfig::DEFAULT_SYNC_WINDOW, stats: false }
-    }
-}
-
 impl EngineConfig {
-    /// Default position-refresh cadence: 250 ms. At the paper's 20 m/s speed cap a node
-    /// moves ≤ 5 m per window — 2 % of the 250 m default radio range.
-    pub const DEFAULT_SYNC_WINDOW: SimDuration = SimDuration::from_millis(250);
+    /// Cadence at which the sharded engine refreshes mobility positions and rebuilds
+    /// its spatial index (the sequential engine moves nodes continuously): 250 ms. At
+    /// the paper's 20 m/s speed cap a node moves ≤ 5 m per window — 2 % of the 250 m
+    /// default radio range.
+    pub const SYNC_WINDOW: SimDuration = SimDuration::from_millis(250);
 
     /// The sharded engine with `shards` worker threads (clamped to ≥ 1).
     pub fn sharded(shards: u32) -> Self {
@@ -51,13 +44,6 @@ impl EngineConfig {
     /// The same configuration with engine statistics attached to the report.
     pub fn with_stats(mut self) -> Self {
         self.stats = true;
-        self
-    }
-
-    /// The same configuration with a different position-refresh cadence (clamped to be
-    /// positive; the sequential engine ignores it).
-    pub fn with_sync_window(mut self, window: SimDuration) -> Self {
-        self.sync_window = window.max(SimDuration::from_nanos(1));
         self
     }
 
@@ -82,7 +68,6 @@ mod tests {
         assert_eq!(e.shards, 0);
         assert!(!e.is_parallel());
         assert!(!e.stats);
-        assert_eq!(e.sync_window, SimDuration::from_millis(250));
     }
 
     #[test]
@@ -95,12 +80,8 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let e =
-            EngineConfig::sharded(2).with_stats().with_sync_window(SimDuration::from_millis(100));
+        let e = EngineConfig::sharded(2).with_stats();
         assert!(e.stats);
-        assert_eq!(e.sync_window, SimDuration::from_millis(100));
         assert_eq!(e.shards, 2);
-        let z = EngineConfig::default().with_sync_window(SimDuration::ZERO);
-        assert!(z.sync_window > SimDuration::ZERO, "zero windows are clamped");
     }
 }

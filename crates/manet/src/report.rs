@@ -15,30 +15,25 @@ use ssmcast_metrics::{
     ConvergenceStats, EngineStats, FixedBinHistogram, GroupStats, LifetimeStats, MacStats,
     MetricsConfig, SeqDedup, SilenceStats, StreamingStats, WindowLedger,
 };
-use std::collections::{HashMap, HashSet};
-
-/// Per-packet bookkeeping: exact store-everything records, or the fixed-budget
-/// streaming sketches (see `ssmcast_metrics::streaming`). The scalar counters that
-/// both modes share (`expected`, `delay_sum`, `delivered_count`, …) live directly on
-/// [`Trace`], which is why PDR, mean latency and energy totals are bit-equal across
-/// modes.
-#[derive(Debug, Clone)]
-enum PacketLog {
-    /// One map entry per generated packet and one set entry per delivery: memory grows
-    /// O(events).
-    Exact { generated: HashMap<u64, SimTime>, delivered: HashSet<(u64, u32)> },
-    /// Fixed-budget sketches: a generated-packet counter (the per-packet timestamps
-    /// were only ever read through `DataTag::created_at`), per-receiver sequence
-    /// bitmaps for duplicate detection, and a latency histogram for the quantiles the
-    /// exact mode derives from retained samples. Memory is O(budgets + nodes).
-    Streaming { generated: u64, dedup: SeqDedup, latency: FixedBinHistogram },
-}
 
 /// Raw counters accumulated for one multicast session while a simulation runs.
+///
+/// Both [`MetricsConfig`] modes record into the same fields; they differ only in the
+/// budgets handed to the duplicate detector and the window ledger, and in whether a
+/// latency histogram is kept. The scalar counters (`expected`, `delay_sum`,
+/// `delivered_count`, …) are therefore shared, which is why PDR, mean latency and
+/// energy totals are bit-equal across modes.
 #[derive(Debug, Clone)]
 pub struct Trace {
     window: SimDuration,
-    log: PacketLog,
+    /// Data packets generated (their timestamps travel in `DataTag::created_at`).
+    generated: u64,
+    /// Per-receiver sequence bitmaps: never lapse in exact mode; a 1024-sequence
+    /// window in streaming mode.
+    dedup: SeqDedup,
+    /// Fresh-delivery latencies for the streaming block's quantiles; `None` in exact
+    /// mode.
+    latency: Option<FixedBinHistogram>,
     /// Per-window expected/delivered counts. In exact mode the ledger is unbounded
     /// (level 0: exactly the historical per-window maps); in streaming mode it
     /// coarsens to a fixed block budget.
@@ -81,37 +76,21 @@ pub struct GroupAccounting {
 }
 
 impl Trace {
-    /// Create an exact (store-everything) trace. `window` is the bucket used for the
-    /// unavailability ratio. Every historical caller keeps this constructor; streaming
-    /// accumulation is opted into via [`Trace::with_config`].
+    /// Create an exact trace. `window` is the bucket used for the unavailability
+    /// ratio. Every historical caller keeps this constructor; streaming accumulation is
+    /// opted into via [`Trace::with_config`].
     pub fn new(window: SimDuration) -> Self {
         Trace::with_config(window, &MetricsConfig::exact())
     }
 
     /// Create a trace in the accumulation mode selected by `metrics`.
     pub fn with_config(window: SimDuration, metrics: &MetricsConfig) -> Self {
-        let (log, windows) = if metrics.is_streaming() {
-            let cfg = metrics.streaming;
-            let bin_ns =
-                SimDuration::from_secs_f64(cfg.latency_bin_width_ms / 1_000.0).as_nanos().max(1);
-            (
-                PacketLog::Streaming {
-                    generated: 0,
-                    dedup: SeqDedup::new(cfg.dedup_window),
-                    latency: FixedBinHistogram::new(bin_ns, cfg.latency_bins),
-                },
-                WindowLedger::bounded(cfg.window_budget as usize),
-            )
-        } else {
-            (
-                PacketLog::Exact { generated: HashMap::new(), delivered: HashSet::new() },
-                WindowLedger::exact(),
-            )
-        };
         Trace {
             window,
-            log,
-            windows,
+            generated: 0,
+            dedup: SeqDedup::new(metrics.dedup_window()),
+            latency: metrics.latency_histogram(),
+            windows: WindowLedger::bounded(metrics.window_budget()),
             expected: 0,
             delay_sum: SimDuration::ZERO,
             delivered_count: 0,
@@ -123,25 +102,12 @@ impl Trace {
         }
     }
 
-    /// True when this trace accumulates with the fixed-budget streaming sketches.
-    pub fn is_streaming(&self) -> bool {
-        matches!(self.log, PacketLog::Streaming { .. })
-    }
-
     /// Approximate report-layer bytes held by this trace: a data-size lower bound
-    /// (map/set payloads, histogram bins, bitmap words, ledger blocks) that excludes
-    /// allocator and hash-table overhead, so it *under*-counts the exact mode. Used by
-    /// the memory-bound evidence in benches and tests.
+    /// (bitmap words, histogram bins, ledger blocks) that excludes allocator overhead.
+    /// Used by the memory-bound evidence in benches and tests.
     pub fn approx_mem_bytes(&self) -> u64 {
-        let log = match &self.log {
-            PacketLog::Exact { generated, delivered } => {
-                generated.len() as u64 * 16 + delivered.len() as u64 * 12
-            }
-            PacketLog::Streaming { dedup, latency, .. } => {
-                8 + dedup.mem_bytes() + latency.mem_bytes()
-            }
-        };
-        log + self.windows.mem_bytes()
+        let latency = self.latency.as_ref().map_or(0, FixedBinHistogram::mem_bytes);
+        8 + self.dedup.mem_bytes() + latency + self.windows.mem_bytes()
     }
 
     fn window_of(&self, t: SimTime) -> u64 {
@@ -152,13 +118,8 @@ impl Trace {
     /// Record that the application generated data packet `seq` at time `t`, owed to
     /// `receivers` current members (members excluding the source at that instant —
     /// membership churn makes this a per-packet quantity).
-    pub fn record_generated(&mut self, seq: u64, t: SimTime, receivers: u64) {
-        match &mut self.log {
-            PacketLog::Exact { generated, .. } => {
-                generated.insert(seq, t);
-            }
-            PacketLog::Streaming { generated, .. } => *generated += 1,
-        }
+    pub fn record_generated(&mut self, _seq: u64, t: SimTime, receivers: u64) {
+        self.generated += 1;
         self.expected += receivers;
         let w = self.window_of(t);
         self.windows.add_expected(w, receivers);
@@ -169,18 +130,14 @@ impl Trace {
     /// (Streaming mode detects duplicates over a bounded per-receiver sequence window;
     /// a reception lapping the window is conservatively counted as a duplicate.)
     pub fn record_delivery(&mut self, tag: &DataTag, rx: NodeId, now: SimTime) {
-        let fresh = match &mut self.log {
-            PacketLog::Exact { delivered, .. } => delivered.insert((tag.seq, rx.0)),
-            PacketLog::Streaming { dedup, .. } => dedup.insert(rx.0, tag.seq),
-        };
-        if !fresh {
+        if !self.dedup.insert(rx.0, tag.seq) {
             self.duplicate_deliveries += 1;
             return;
         }
         self.delivered_count += 1;
         let delay = now.saturating_since(tag.created_at);
         self.delay_sum += delay;
-        if let PacketLog::Streaming { latency, .. } = &mut self.log {
+        if let Some(latency) = &mut self.latency {
             latency.record(delay.as_nanos());
         }
         let gen_window = self.window_of(tag.created_at);
@@ -201,10 +158,7 @@ impl Trace {
 
     /// Number of data packets generated so far.
     pub fn generated_count(&self) -> u64 {
-        match &self.log {
-            PacketLog::Exact { generated, .. } => generated.len() as u64,
-            PacketLog::Streaming { generated, .. } => *generated,
-        }
+        self.generated
     }
 
     /// Number of unique (packet, member) deliveries.
@@ -236,37 +190,22 @@ impl Trace {
         self.windows.unavailability(threshold)
     }
 
-    /// Merge `other` into `self`: counters sum, maps union-sum, sets union, sketches
-    /// merge. The sharded engine records each session's trace piecewise (each shard
-    /// sees only its own nodes' deliveries) and folds the pieces with this. All merged
-    /// quantities are integers (delays are integer nanoseconds) and the streaming
-    /// sketches coarsen to content-determined levels, so the merge is exact and
-    /// order-independent — a prerequisite for shard-count-invariant reports.
+    /// Merge `other` into `self`: counters sum and sketches merge. The sharded engine
+    /// records each session's trace piecewise (each shard sees only its own nodes'
+    /// deliveries) and folds the pieces with this. All merged quantities are integers
+    /// (delays are integer nanoseconds) and the streaming sketches coarsen to
+    /// content-determined levels, so the merge is exact and order-independent — a
+    /// prerequisite for shard-count-invariant reports.
     ///
-    /// The pieces must be disjoint: a `(packet, receiver)` delivery or a generated
-    /// sequence number must have been recorded by exactly one piece (the sharded engine
+    /// The pieces must be disjoint: every receiver's deliveries and every generated
+    /// packet must have been recorded by exactly one piece (the sharded engine
     /// guarantees this — each node is owned by one shard), and all pieces must share
     /// one accumulation mode.
     pub fn absorb(&mut self, other: &Trace) {
-        match (&mut self.log, &other.log) {
-            (
-                PacketLog::Exact { generated, delivered },
-                PacketLog::Exact { generated: og, delivered: od },
-            ) => {
-                for (&seq, &t) in og {
-                    generated.insert(seq, t);
-                }
-                delivered.extend(od.iter().copied());
-            }
-            (
-                PacketLog::Streaming { generated, dedup, latency },
-                PacketLog::Streaming { generated: og, dedup: od, latency: ol },
-            ) => {
-                *generated += og;
-                dedup.absorb(od);
-                latency.absorb(ol);
-            }
-            _ => panic!("Trace::absorb requires pieces of the same metrics mode"),
+        self.generated += other.generated;
+        self.dedup.absorb(&other.dedup);
+        if let (Some(latency), Some(ol)) = (&mut self.latency, &other.latency) {
+            latency.absorb(ol);
         }
         self.expected += other.expected;
         self.delay_sum += other.delay_sum;
@@ -357,25 +296,20 @@ impl Trace {
         let unavailability =
             windows.as_ref().map(|w| w.unavailability(availability_threshold)).unwrap_or(1.0);
 
-        // When every trace accumulated with the streaming sketches, summarize them.
-        // Quantiles come from the *merged* histogram (sessions merged here; shard
-        // pieces already merged by `absorb`), so they are invariant to shard count
-        // and session iteration order alike.
-        let streaming = if !traces.is_empty() && traces.iter().all(|(t, _)| t.is_streaming()) {
-            let mut merged: Option<FixedBinHistogram> = None;
-            let mut report_bytes = 0u64;
-            for (trace, _) in traces {
-                report_bytes += trace.approx_mem_bytes();
-                if let PacketLog::Streaming { latency, .. } = &trace.log {
-                    match &mut merged {
-                        None => merged = Some(latency.clone()),
-                        Some(m) => m.absorb(latency),
-                    }
-                }
+        // When every trace kept a latency histogram (streaming mode), summarize the
+        // sketches. Quantiles come from the *merged* histogram (sessions merged here;
+        // shard pieces already merged by `absorb`), so they are invariant to shard
+        // count and session iteration order alike.
+        let histograms: Option<Vec<&FixedBinHistogram>> =
+            traces.iter().map(|(t, _)| t.latency.as_ref()).collect();
+        let streaming = histograms.filter(|h| !h.is_empty()).map(|histograms| {
+            let mut hist = histograms[0].clone();
+            for h in &histograms[1..] {
+                hist.absorb(h);
             }
-            let hist = merged.expect("at least one streaming trace");
+            let report_bytes = traces.iter().map(|(t, _)| t.approx_mem_bytes()).sum();
             let ledger = windows.as_ref().expect("at least one trace");
-            Some(StreamingStats {
+            StreamingStats {
                 latency_bin_width_ms: hist.bin_width_ns() as f64 / 1e6,
                 latency_p50_ms: hist.quantile_ns(0.50) / 1e6,
                 latency_p95_ms: hist.quantile_ns(0.95) / 1e6,
@@ -384,10 +318,8 @@ impl Trace {
                 window_level: ledger.level(),
                 window_blocks: ledger.blocks_len() as u64,
                 report_bytes,
-            })
-        } else {
-            None
-        };
+            }
+        });
 
         SimReport {
             protocol: protocol.to_string(),
@@ -532,7 +464,7 @@ pub struct SimReport {
     /// rate, so stats-on reports are not byte-reproducible across runs.
     pub engine: Option<EngineStats>,
     /// Streaming-sketch summary (histogram quantiles, ledger coarsening, approximate
-    /// report bytes) when the run accumulated in `MetricsMode::Streaming`. `None` (and
+    /// report bytes) when the run accumulated in `MetricsConfig::Streaming`. `None` (and
     /// absent from the serialized form) for default exact-mode runs, keeping them
     /// byte-identical to pre-streaming builds.
     pub streaming: Option<StreamingStats>,
@@ -961,8 +893,6 @@ mod tests {
     #[test]
     fn streaming_trace_matches_exact_scalars_and_attaches_block() {
         let (exact, streaming) = mirrored_traces();
-        assert!(!exact.is_streaming());
-        assert!(streaming.is_streaming());
         let re = exact.finish("p", SimDuration::from_secs(1), 0.5, 0.1, 2, 512, 0.95);
         let rs = streaming.finish("p", SimDuration::from_secs(1), 0.5, 0.1, 2, 512, 0.95);
         // Every scalar the exact mode reports is bit-equal (the streaming block is the

@@ -76,9 +76,9 @@ pub struct SimSetup {
     /// configuration makes the runtime split control bytes-on-air into steady-state vs
     /// recovery phases and attach a `SilenceStats` block to the report.
     pub silence: SilenceConfig,
-    /// Report-accumulation mode: exact store-everything tracking (the default,
-    /// byte-identical to earlier builds) or memory-bounded streaming sketches whose
-    /// footprint is set by configuration, not by event count.
+    /// Report-accumulation mode: exact tracking (the default, byte-identical to
+    /// earlier builds) or streaming, whose sketches have fixed budgets so their
+    /// footprint does not grow with event count.
     pub metrics: MetricsConfig,
     /// Energy-harvesting knobs. [`HarvestConfig::off`] (the default) keeps battery
     /// depletion permanent; enabled harvesting turns depletion into a power-cycling

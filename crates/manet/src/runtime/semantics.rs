@@ -1018,11 +1018,7 @@ pub(super) struct Curves {
 impl Curves {
     /// Empty curves under `setup`'s metrics mode.
     pub(super) fn new(setup: &SimSetup) -> Self {
-        let budget = if setup.metrics.is_streaming() {
-            setup.metrics.streaming.curve_budget as usize
-        } else {
-            usize::MAX
-        };
+        let budget = setup.metrics.curve_budget();
         Curves { alive: CurveRing::with_budget(budget), delivery: CurveRing::with_budget(budget) }
     }
 

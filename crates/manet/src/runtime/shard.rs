@@ -24,6 +24,7 @@
 use super::semantics::{Key, NodeCore, Seam, RANK_APPSEND, RANK_FAULT, RANK_MEMBERSHIP};
 use super::{observe, NetEvent, NetworkSim, SimSetup};
 use crate::agent::ProtocolAgent;
+use crate::engine::EngineConfig;
 use crate::faults::{FaultKind, StabilizationObserver};
 use crate::geometry::Vec2;
 use crate::harvest::HarvestPlan;
@@ -420,7 +421,7 @@ pub(super) fn run_sharded<A: ProtocolAgent>(
     });
 
     // --- Coordinator state ----------------------------------------------------------
-    let sync_window_ns = setup.engine.sync_window.as_nanos().max(1);
+    let sync_window_ns = EngineConfig::SYNC_WINDOW.as_nanos();
     let mut next_refresh = (sync_window_ns <= horizon_ns).then_some(sync_window_ns);
     let probe_epoch_ns = probe.as_deref().map(|o| super::probe_epoch(o).as_nanos());
     let mut next_probe = probe_epoch_ns.filter(|&e| e <= horizon_ns);

@@ -1,9 +1,8 @@
-//! Memory-bounded streaming metric sketches.
+//! The report layer's metric sketches and the budgets [`MetricsConfig`] hands them.
 //!
-//! The report layer historically stored one record per packet (latency samples,
-//! delivery sets) and one sample per epoch (alive/delivery curves), so report
-//! memory grew O(events) and capped run length long before the engine did. This
-//! module provides the fixed-budget replacements:
+//! Both accumulation modes record into the same sketches: exact mode gives them no
+//! budget, streaming mode fixes one, so report memory is O(budgets + nodes) instead
+//! of O(events) and run length is capped by the engine, not the report layer.
 //!
 //! * [`FixedBinHistogram`] — integer-count latency histogram with an exact,
 //!   commutative merge and a deterministic ceil-rank quantile that is within one
@@ -18,8 +17,8 @@
 //!   level whose distinct block count fits the budget), so any insertion or
 //!   shard-merge order converges to the same blocks — the property that makes
 //!   streaming reports shard-count invariant.
-//! * [`SeqDedup`] — per-receiver circular sequence-number bitmaps replacing the
-//!   O(deliveries) `HashSet<(seq, node)>`; memory is O(nodes), not O(events).
+//! * [`SeqDedup`] — per-receiver sequence-number bitmaps for duplicate detection:
+//!   one bit per sequence, circular over a fixed window when budgeted.
 //!
 //! All sketches merge with integer arithmetic in any order (or, for `SeqDedup`,
 //! over node-disjoint pieces), which is what keeps the sharded engine's streaming
@@ -28,89 +27,87 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// How the report layer accumulates per-packet and per-epoch observations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MetricsMode {
-    /// Store-everything accumulation: exact per-packet records and unbounded
-    /// per-epoch curves. Byte-identical to the historical behaviour.
+/// Streaming latency histogram bin width: 2 ms.
+const LATENCY_BIN_WIDTH_NS: u64 = 2_000_000;
+/// Streaming latency histogram bins; later delays land in the overflow counter.
+const LATENCY_BINS: u32 = 512;
+/// Streaming availability-ledger block budget.
+const WINDOW_BUDGET: usize = 512;
+/// Streaming lifetime-curve point budget.
+const CURVE_BUDGET: usize = 512;
+/// Streaming per-receiver duplicate-detection window, in sequence numbers.
+const DEDUP_WINDOW: u64 = 1024;
+
+/// How the report layer accumulates per-packet and per-epoch observations, carried by
+/// `Scenario`/`SimSetup`. Both modes record into the same sketches and differ only in
+/// the budgets those sketches get.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum MetricsConfig {
+    /// No budgets: duplicate state never lapses, the availability ledger and the
+    /// lifetime curves keep every window and sample, and no latency histogram is kept.
+    /// Its reports are the ones the byte-identical goldens pin.
+    #[default]
     Exact,
-    /// Fixed-budget sketches: memory is bounded by [`StreamingConfig`], not by
-    /// event count. Scalar metrics (PDR, mean latency, energy totals,
-    /// time-to-first-death) remain bit-equal to `Exact`; quantiles come from
-    /// the histogram (within one bin width) and curves are downsampled.
+    /// Fixed budgets: a 512 × 2 ms latency histogram, 512 availability blocks, 512
+    /// points per lifetime curve and a 1024-sequence dedup window per receiver, so
+    /// memory is O(budgets + nodes), not O(events). Scalar metrics (PDR, mean latency,
+    /// energy totals, time-to-first-death) stay bit-equal to `Exact`; quantiles come
+    /// from the histogram (within one bin width), curves are downsampled, and a
+    /// reception lapping the dedup window counts as a duplicate.
     Streaming,
 }
 
-/// Budgets for the streaming sketches. All bounds are configuration, so report
-/// memory is O(budgets + nodes) regardless of horizon or traffic volume.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct StreamingConfig {
-    /// Latency histogram bin width in milliseconds.
-    pub latency_bin_width_ms: f64,
-    /// Number of latency histogram bins (delays beyond the range land in a
-    /// dedicated overflow counter; the exact maximum is always tracked).
-    pub latency_bins: u32,
-    /// Maximum number of availability-window blocks retained per trace.
-    pub window_budget: u32,
-    /// Maximum number of points retained per lifetime curve.
-    pub curve_budget: u32,
-    /// Per-receiver duplicate-detection window in sequence numbers (rounded up
-    /// to a power of two, minimum 64).
-    pub dedup_window: u32,
-}
+impl MetricsConfig {
+    /// Exact accumulation — the historical default.
+    pub fn exact() -> Self {
+        MetricsConfig::Exact
+    }
 
-impl Default for StreamingConfig {
-    fn default() -> Self {
-        StreamingConfig {
-            latency_bin_width_ms: 2.0,
-            latency_bins: 512,
-            window_budget: 512,
-            curve_budget: 512,
-            dedup_window: 1024,
+    /// Streaming accumulation.
+    pub fn streaming() -> Self {
+        MetricsConfig::Streaming
+    }
+
+    /// True when the sketches run on their streaming budgets.
+    pub fn is_streaming(&self) -> bool {
+        *self == MetricsConfig::Streaming
+    }
+
+    /// The per-receiver window for [`SeqDedup::new`]; never lapses in exact mode.
+    pub fn dedup_window(&self) -> u64 {
+        if self.is_streaming() {
+            DEDUP_WINDOW
+        } else {
+            u64::MAX
         }
     }
-}
 
-/// Report-accumulation knob carried by `Scenario`/`SimSetup`. The default is
-/// [`MetricsMode::Exact`], which keeps every existing run byte-identical.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct MetricsConfig {
-    /// Accumulation mode.
-    pub mode: MetricsMode,
-    /// Sketch budgets, used only when `mode` is [`MetricsMode::Streaming`].
-    pub streaming: StreamingConfig,
-}
-
-impl Default for MetricsConfig {
-    fn default() -> Self {
-        MetricsConfig::exact()
-    }
-}
-
-impl MetricsConfig {
-    /// Exact (store-everything) accumulation — the historical default.
-    pub fn exact() -> Self {
-        MetricsConfig { mode: MetricsMode::Exact, streaming: StreamingConfig::default() }
+    /// The block budget for [`WindowLedger::bounded`]; unbounded in exact mode.
+    pub fn window_budget(&self) -> usize {
+        if self.is_streaming() {
+            WINDOW_BUDGET
+        } else {
+            usize::MAX
+        }
     }
 
-    /// Streaming accumulation with default budgets.
-    pub fn streaming() -> Self {
-        MetricsConfig { mode: MetricsMode::Streaming, streaming: StreamingConfig::default() }
+    /// The point budget for [`CurveRing::with_budget`]; unbounded in exact mode.
+    pub fn curve_budget(&self) -> usize {
+        if self.is_streaming() {
+            CURVE_BUDGET
+        } else {
+            usize::MAX
+        }
     }
 
-    /// Streaming accumulation with explicit budgets.
-    pub fn with_streaming(cfg: StreamingConfig) -> Self {
-        MetricsConfig { mode: MetricsMode::Streaming, streaming: cfg }
-    }
-
-    /// True when the streaming sketches are active.
-    pub fn is_streaming(&self) -> bool {
-        self.mode == MetricsMode::Streaming
+    /// An empty latency histogram in streaming mode; exact mode keeps none.
+    pub fn latency_histogram(&self) -> Option<FixedBinHistogram> {
+        self.is_streaming().then(|| FixedBinHistogram::new(LATENCY_BIN_WIDTH_NS, LATENCY_BINS))
     }
 }
 
 /// Summary of the streaming sketches attached to a report produced in
-/// [`MetricsMode::Streaming`]. Quantiles are computed from the (shard-)merged
+/// [`MetricsConfig::Streaming`]. Quantiles are computed from the (shard-)merged
 /// histogram, never from an order-dependent estimator, so they are identical
 /// for any shard count.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -237,8 +234,8 @@ impl FixedBinHistogram {
 /// Bounded curve buffer. While within budget it stores every pushed sample;
 /// when the budget fills it merges adjacent sample pairs keeping the *later*
 /// sample of each (the right law for cumulative/monotone curves such as alive
-/// counts and delivery ratios) and doubles the sampling stride. With an
-/// unbounded budget it is byte-identical to a plain `Vec`.
+/// counts and delivery ratios) and doubles the sampling stride. With a
+/// `usize::MAX` budget it never merges and holds every sample, like a plain `Vec`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CurveRing<T> {
     budget: usize,
@@ -248,12 +245,8 @@ pub struct CurveRing<T> {
 }
 
 impl<T: Copy> CurveRing<T> {
-    /// An unbounded ring: stores every sample exactly (level stays 0).
-    pub fn unbounded() -> Self {
-        Self::with_budget(usize::MAX)
-    }
-
-    /// A bounded ring holding at most `budget` points (forced even, minimum 2).
+    /// A ring holding at most `budget` points (forced even, minimum 2; `usize::MAX`
+    /// is unbounded).
     pub fn with_budget(budget: usize) -> Self {
         let budget = if budget == usize::MAX { budget } else { budget.max(2) & !1 };
         CurveRing { budget, level: 0, raw: 0, samples: Vec::new() }
@@ -317,11 +310,9 @@ impl<T: Copy> CurveRing<T> {
 /// One availability block: deliveries expected and observed for a (possibly
 /// coarsened) run of adjacent windows.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WindowCell {
-    /// Deliveries expected in the block.
-    pub expected: u64,
-    /// Deliveries observed in the block.
-    pub delivered: u64,
+struct WindowCell {
+    expected: u64,
+    delivered: u64,
 }
 
 /// Per-window expected/delivered counters with a fixed block budget.
@@ -331,8 +322,8 @@ pub struct WindowCell {
 /// `min { L : |{window >> L}| <= budget }`, a function of the recorded content
 /// only — every insertion order, and every partition into [`absorb`]-merged
 /// pieces, converges to the same blocks. This makes streaming unavailability
-/// shard-count invariant. With an unbounded budget (see [`WindowLedger::exact`])
-/// the level stays 0 and the ledger is exactly the historical per-window maps.
+/// shard-count invariant. With a `usize::MAX` budget the level stays 0 and the
+/// ledger is exactly the historical per-window maps.
 ///
 /// [`absorb`]: WindowLedger::absorb
 #[derive(Clone, Debug, PartialEq)]
@@ -343,12 +334,8 @@ pub struct WindowLedger {
 }
 
 impl WindowLedger {
-    /// An unbounded ledger: one block per window, never coarsens.
-    pub fn exact() -> Self {
-        WindowLedger { budget: usize::MAX, level: 0, blocks: BTreeMap::new() }
-    }
-
-    /// A ledger holding at most `budget` blocks (minimum 1).
+    /// A ledger holding at most `budget` blocks (minimum 1; `usize::MAX` never
+    /// coarsens).
     pub fn bounded(budget: usize) -> Self {
         WindowLedger { budget: budget.max(1), level: 0, blocks: BTreeMap::new() }
     }
@@ -431,24 +418,21 @@ impl WindowLedger {
         self.blocks.len()
     }
 
-    /// Iterate over `(block_key, cell)` pairs in key order.
-    pub fn blocks(&self) -> impl Iterator<Item = (u64, WindowCell)> + '_ {
-        self.blocks.iter().map(|(k, c)| (*k, *c))
-    }
-
     /// Approximate bytes held (data-size lower bound).
     pub fn mem_bytes(&self) -> u64 {
         self.blocks.len() as u64 * 40 + 32
     }
 }
 
-/// Per-receiver duplicate detection over a circular sequence-number window.
+/// Per-receiver duplicate detection over sequence-number bitmaps.
 ///
-/// Replaces the exact `HashSet<(seq, node)>` (O(deliveries)) with one bitmap of
-/// `window` sequence slots per receiving node (O(nodes)). Sequence numbers more
-/// than `window` behind the newest seen for a node are conservatively counted
-/// as duplicates. Pieces merged with [`absorb`] must be node-disjoint, which the
-/// sharded engine guarantees (each node is owned by exactly one shard).
+/// Each receiving node gets one bit per sequence number, allocated on its first
+/// delivery. With a finite `window` the bitmap is circular over the newest `window`
+/// sequences, so memory is O(nodes), and a sequence more than `window` behind the
+/// newest seen for its node is conservatively counted as a duplicate. With a
+/// `u64::MAX` window nothing lapses and the bitmap grows to the largest sequence
+/// seen. Pieces merged with [`absorb`] must be node-disjoint, which the sharded
+/// engine guarantees (each node is owned by exactly one shard).
 ///
 /// [`absorb`]: SeqDedup::absorb
 #[derive(Clone, Debug, PartialEq)]
@@ -464,25 +448,26 @@ struct NodeWindow {
 }
 
 impl SeqDedup {
-    /// A deduper with a `window`-sequence horizon per node (rounded up to a
-    /// power of two, minimum 64).
-    pub fn new(window: u32) -> Self {
-        SeqDedup { window: u64::from(window.max(64)).next_power_of_two(), nodes: BTreeMap::new() }
+    /// A deduper with a `window`-sequence horizon per node (rounded up to a power
+    /// of two, minimum 64; `u64::MAX` never lapses).
+    pub fn new(window: u64) -> Self {
+        let window = if window == u64::MAX { window } else { window.max(64).next_power_of_two() };
+        SeqDedup { window, nodes: BTreeMap::new() }
     }
 
     /// Record `(node, seq)`; returns `true` when the pair is new.
     pub fn insert(&mut self, node: u32, seq: u64) -> bool {
         let w = self.window;
-        let words = (w / 64) as usize;
         let nw = self.nodes.entry(node).or_insert_with(|| NodeWindow {
             base: seq.saturating_add(1).saturating_sub(w),
-            bits: vec![0; words],
+            // A circular window is allocated whole; an unbounded one grows on demand.
+            bits: vec![0; if w == u64::MAX { 0 } else { (w / 64) as usize }],
         });
         if seq < nw.base {
             // Lapsed out of the window: conservatively a duplicate.
             return false;
         }
-        if seq >= nw.base + w {
+        if seq - nw.base >= w {
             // Slide the window forward, clearing slots that now map to the
             // not-yet-seen sequences taking their place. Amortized O(1): the
             // total slots cleared over a run is bounded by the largest seq.
@@ -498,13 +483,13 @@ impl SeqDedup {
             nw.base = new_base;
         }
         let ix = (seq % w) as usize;
-        let mask = 1u64 << (ix % 64);
-        if nw.bits[ix / 64] & mask != 0 {
-            false
-        } else {
-            nw.bits[ix / 64] |= mask;
-            true
+        let (word, mask) = (ix / 64, 1u64 << (ix % 64));
+        if word >= nw.bits.len() {
+            nw.bits.resize(word + 1, 0);
         }
+        let fresh = nw.bits[word] & mask == 0;
+        nw.bits[word] |= mask;
+        fresh
     }
 
     /// Merge a node-disjoint piece (panics on overlap — overlapping pieces
@@ -527,7 +512,7 @@ impl SeqDedup {
 
     /// Approximate bytes held (data-size lower bound).
     pub fn mem_bytes(&self) -> u64 {
-        self.nodes.len() as u64 * (self.window / 8 + 24) + 24
+        self.nodes.values().map(|nw| nw.bits.len() as u64 * 8 + 24).sum::<u64>() + 24
     }
 }
 
@@ -553,9 +538,12 @@ mod tests {
     #[test]
     fn config_defaults_to_exact() {
         let cfg = MetricsConfig::default();
-        assert_eq!(cfg.mode, MetricsMode::Exact);
+        assert_eq!(cfg, MetricsConfig::exact());
         assert!(!cfg.is_streaming());
-        assert!(MetricsConfig::streaming().is_streaming());
+        assert!(cfg.latency_histogram().is_none());
+        let streaming = MetricsConfig::streaming();
+        assert!(streaming.is_streaming());
+        assert_eq!(streaming.latency_histogram().map(|h| h.bin_width_ns()), Some(2_000_000));
     }
 
     #[test]
@@ -616,7 +604,7 @@ mod tests {
 
     #[test]
     fn curve_ring_unbounded_matches_plain_vec() {
-        let mut ring = CurveRing::unbounded();
+        let mut ring = CurveRing::with_budget(usize::MAX);
         let vals: Vec<u64> = (0..1_000).collect();
         for &v in &vals {
             ring.push(v);
@@ -656,7 +644,7 @@ mod tests {
 
     #[test]
     fn window_ledger_exact_matches_naive_counts() {
-        let mut ledger = WindowLedger::exact();
+        let mut ledger = WindowLedger::bounded(usize::MAX);
         let events = [(0u64, 4u64, 4u64), (1, 4, 1), (5, 2, 2), (9, 3, 0)];
         for &(w, exp, del) in &events {
             ledger.add_expected(w, exp);
@@ -737,6 +725,17 @@ mod tests {
         // Slots vacated by the slide are clean: a sequence reusing slot
         // 200 % 64 == 8's old position must not be mistaken for seen.
         assert!(d.insert(0, 196));
+    }
+
+    #[test]
+    fn seq_dedup_unbounded_never_lapses() {
+        let mut d = SeqDedup::new(u64::MAX);
+        assert!(d.insert(0, 5_000));
+        assert!(d.insert(0, 0), "an unbounded window never lapses");
+        assert!(!d.insert(0, 0));
+        assert!(d.insert(0, 1 << 20));
+        assert!(!d.insert(0, 5_000));
+        assert_eq!(d.mem_bytes(), ((1 << 20) / 64 + 1) * 8 + 24 + 24);
     }
 
     #[test]

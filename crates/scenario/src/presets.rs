@@ -500,20 +500,6 @@ pub fn run_figure(id: FigureId, scale: f64, reps: usize) -> FigureResult {
     run_figure_with_sink(id, scale, reps, &mut null)
 }
 
-/// Regenerate one figure under an explicit radio medium configuration (position-cache
-/// epoch + neighbour-query mode). With the default [`MediumConfig`] this is identical to
-/// [`run_figure`]; a coarse position epoch trades fidelity for throughput on large
-/// sweeps.
-pub fn run_figure_with_medium(
-    id: FigureId,
-    scale: f64,
-    reps: usize,
-    medium: ssmcast_manet::MediumConfig,
-) -> FigureResult {
-    let mut null = crate::sink::NullSink;
-    run_figure_inner(id, scale, reps, Some(medium), &mut null)
-}
-
 /// Regenerate one figure while streaming every completed cell through `sink` (progress
 /// lines, incremental CSV/JSON, ...). The figure's own summary still needs the full grid,
 /// which is collected alongside the stream.
@@ -523,22 +509,9 @@ pub fn run_figure_with_sink(
     reps: usize,
     sink: &mut dyn RunSink,
 ) -> FigureResult {
-    run_figure_inner(id, scale, reps, None, sink)
-}
-
-fn run_figure_inner(
-    id: FigureId,
-    scale: f64,
-    reps: usize,
-    medium: Option<ssmcast_manet::MediumConfig>,
-    sink: &mut dyn RunSink,
-) -> FigureResult {
     let spec = id.spec();
     let mut base = base_scenario_for(&spec);
     base.duration_s = (base.duration_s * scale).max(30.0);
-    if let Some(medium) = medium {
-        base.medium = medium;
-    }
     let mut memory = MemorySink::new();
     {
         let mut tee = TeeSink::new(vec![&mut memory, sink]);

@@ -171,10 +171,10 @@ pub struct Scenario {
     /// and wire format byte for byte; enabling it attaches a `SilenceStats` block
     /// splitting control bytes into steady-state and recovery traffic per session.
     pub silence: SilenceConfig,
-    /// Report accumulation: exact store-everything tracking ([`MetricsConfig::exact`],
-    /// the default, byte-identical to earlier builds) or memory-bounded streaming
-    /// sketches whose footprint is set by configured bin budgets, not by event count
-    /// — the mode for week-long, large-n lifetime runs.
+    /// Report accumulation: exact tracking ([`MetricsConfig::exact`], the default,
+    /// byte-identical to earlier builds) or memory-bounded streaming sketches whose
+    /// footprint is set by fixed budgets, not by event count — the mode for
+    /// week-long, large-n lifetime runs.
     pub metrics: MetricsConfig,
     /// Energy-harvesting node model. [`HarvestConfig::off`] (the default) keeps
     /// battery depletion permanent; enabling it gives each node a seeded harvest rate
@@ -264,12 +264,6 @@ impl Scenario {
     pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
         self.metrics = metrics;
         self
-    }
-
-    /// The same scenario with memory-bounded streaming report accumulation (default
-    /// sketch budgets; see [`MetricsConfig::streaming`]).
-    pub fn with_streaming_metrics(self) -> Self {
-        self.with_metrics(MetricsConfig::streaming())
     }
 
     /// The same scenario under an energy-harvesting node model.
@@ -444,15 +438,15 @@ mod tests {
 
     #[test]
     fn metrics_and_harvest_default_off_and_are_overridable() {
-        use ssmcast_metrics::MetricsMode;
         let s = Scenario::paper_default();
         assert_eq!(s.metrics, MetricsConfig::exact(), "exact reports by default");
         assert!(!s.metrics.is_streaming());
         assert_eq!(s.harvest, HarvestConfig::off());
         assert!(!s.harvest.enabled, "depletion stays permanent by default");
-        let tuned = s.with_streaming_metrics().with_harvest(HarvestConfig::on(0.01, 0.05, 0.25));
+        let tuned = s
+            .with_metrics(MetricsConfig::streaming())
+            .with_harvest(HarvestConfig::on(0.01, 0.05, 0.25));
         assert!(tuned.metrics.is_streaming());
-        assert_eq!(tuned.metrics.mode, MetricsMode::Streaming);
         assert!(tuned.harvest.enabled);
         assert_eq!(tuned.harvest.wake_fraction, 0.25);
     }

@@ -11,8 +11,8 @@
 //!
 //! Report accumulation runs in `Streaming` mode: fixed-bin latency histograms, bounded
 //! delivery-window ledgers and downsampling curve rings hold the report layer at a
-//! configured footprint regardless of horizon, where exact mode's per-packet maps and
-//! per-epoch curves would grow with the week. The example prints the process peak RSS
+//! fixed footprint regardless of horizon, where exact mode's unbudgeted ledger, dedup
+//! bitmaps and per-epoch curves would grow with the week. The example prints the process peak RSS
 //! (`/proc/self/status` VmHWM) so the bound is a measured number, not a promise
 //! (EXPERIMENTS.md records the reference run).
 //!
