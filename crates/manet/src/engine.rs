@@ -9,8 +9,8 @@
 //! The sharded engine is deterministic and *shard-count invariant* — the same setup
 //! yields byte-identical reports at 1, 2 or 8 shards. Both engines run the same per-node
 //! semantics; the sharded one reads positions frozen per [`EngineConfig::SYNC_WINDOW`]
-//! (250 ms), draws loss from
-//! per-sender streams and evaluates carrier capture at delivery (see `EXPERIMENTS.md`).
+//! (250 ms), draws loss from per-sender streams and evaluates carrier capture at
+//! delivery (see `EXPERIMENTS.md`).
 //! On exact physics the two engines produce byte-identical reports
 //! (`tests/engine_equivalence.rs`).
 

@@ -322,8 +322,8 @@ struct WindowCell {
 /// `min { L : |{window >> L}| <= budget }`, a function of the recorded content
 /// only — every insertion order, and every partition into [`absorb`]-merged
 /// pieces, converges to the same blocks. This makes streaming unavailability
-/// shard-count invariant. With a `usize::MAX` budget the level stays 0 and the
-/// ledger is exactly the historical per-window maps.
+/// shard-count invariant. With a `usize::MAX` budget the level stays 0: one block
+/// per window.
 ///
 /// [`absorb`]: WindowLedger::absorb
 #[derive(Clone, Debug, PartialEq)]
