@@ -20,6 +20,6 @@ pub mod min_energy;
 pub mod odmrp;
 
 pub use flooding::{FloodPayload, FloodingAgent};
-pub use maodv::{MaodvAgent, MaodvConfig, MaodvPayload};
+pub use maodv::{MaodvAgent, MaodvPayload};
 pub use min_energy::{MinEnergyAgent, MinEnergyPayload};
-pub use odmrp::{OdmrpAgent, OdmrpConfig, OdmrpPayload};
+pub use odmrp::{OdmrpAgent, OdmrpPayload};

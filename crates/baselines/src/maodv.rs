@@ -45,37 +45,20 @@ pub enum MaodvPayload {
     Data,
 }
 
-/// MAODV configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct MaodvConfig {
-    /// Group Hello interval (the MAODV draft uses 5 s).
-    pub hello_interval: SimDuration,
-    /// Tree-router soft state lifetime, in hello intervals.
-    pub tree_timeout_intervals: f64,
-    /// Group Hello size, bytes.
-    pub hello_bytes: u32,
-    /// Join size, bytes.
-    pub join_bytes: u32,
-    /// Data packets buffered at the source while the tree is being built.
-    pub max_buffered: usize,
-}
-
-impl Default for MaodvConfig {
-    fn default() -> Self {
-        MaodvConfig {
-            hello_interval: SimDuration::from_secs(5),
-            tree_timeout_intervals: 2.5,
-            hello_bytes: 24,
-            join_bytes: 24,
-            max_buffered: 64,
-        }
-    }
-}
+/// Group Hello interval (the MAODV draft uses 5 s).
+const HELLO_INTERVAL: SimDuration = SimDuration::from_secs(5);
+/// Tree-router soft state lifetime, in hello intervals.
+const TREE_TIMEOUT_INTERVALS: f64 = 2.5;
+/// Group Hello size, bytes.
+const HELLO_BYTES: u32 = 24;
+/// Join size, bytes.
+const JOIN_BYTES: u32 = 24;
+/// Data packets buffered at the source while the tree is being built.
+const MAX_BUFFERED: usize = 64;
 
 /// The per-node MAODV state machine.
 #[derive(Debug)]
 pub struct MaodvAgent {
-    config: MaodvConfig,
     hello_seen: HashSet<u64>,
     /// Next hop towards the group leader and the hello sequence that taught it to us.
     upstream: Option<NodeId>,
@@ -92,10 +75,9 @@ pub struct MaodvAgent {
 }
 
 impl MaodvAgent {
-    /// Create an agent with the given configuration.
-    pub fn new(config: MaodvConfig) -> Self {
+    /// Create an agent with the protocol's fixed parameters.
+    pub fn with_defaults() -> Self {
         MaodvAgent {
-            config,
             hello_seen: HashSet::new(),
             upstream: None,
             upstream_expires: SimTime::ZERO,
@@ -107,11 +89,6 @@ impl MaodvAgent {
             tree_established: false,
             buffered: Vec::new(),
         }
-    }
-
-    /// Create an agent with default parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(MaodvConfig::default())
     }
 
     /// True if this node is an activated tree router at `now`.
@@ -128,8 +105,8 @@ impl MaodvAgent {
         }
     }
 
-    fn tree_timeout(&self) -> SimDuration {
-        self.config.hello_interval.mul_f64(self.config.tree_timeout_intervals)
+    fn tree_timeout() -> SimDuration {
+        HELLO_INTERVAL.mul_f64(TREE_TIMEOUT_INTERVALS)
     }
 
     fn send_hello(&mut self, ctx: &mut NodeCtx<'_, MaodvPayload>) {
@@ -137,7 +114,7 @@ impl MaodvAgent {
         self.hello_seq += 1;
         self.hello_seen.insert(seq);
         ctx.broadcast_control(
-            self.config.hello_bytes,
+            HELLO_BYTES,
             ctx.radio.max_range_m,
             MaodvPayload::GroupHello { seq, hop: 0 },
         );
@@ -170,19 +147,19 @@ impl ProtocolAgent for MaodvAgent {
                 // First copy of a hello arrives over the shortest path: its sender becomes
                 // our next hop towards the leader.
                 self.upstream = Some(packet.sender);
-                self.upstream_expires = ctx.now + self.tree_timeout();
+                self.upstream_expires = ctx.now + Self::tree_timeout();
                 // Members (re-)join the tree every hello period.
                 if ctx.is_member() && !ctx.is_source() {
                     ctx.broadcast_control(
-                        self.config.join_bytes,
+                        JOIN_BYTES,
                         ctx.radio.max_range_m,
                         MaodvPayload::Join { target: packet.sender },
                     );
-                    self.on_tree_until = ctx.now + self.tree_timeout();
+                    self.on_tree_until = ctx.now + Self::tree_timeout();
                 }
                 // Relay the flood.
                 ctx.broadcast_control(
-                    self.config.hello_bytes,
+                    HELLO_BYTES,
                     ctx.radio.max_range_m,
                     MaodvPayload::GroupHello { seq: *seq, hop: hop + 1 },
                 );
@@ -192,13 +169,13 @@ impl ProtocolAgent for MaodvAgent {
                 if *target != ctx.id {
                     return Disposition::Discarded;
                 }
-                self.on_tree_until = ctx.now + self.tree_timeout();
+                self.on_tree_until = ctx.now + Self::tree_timeout();
                 if ctx.is_source() {
                     self.tree_established = true;
                     self.flush_buffer(ctx);
                 } else if let Some(up) = self.upstream(ctx.now) {
                     ctx.broadcast_control(
-                        self.config.join_bytes,
+                        JOIN_BYTES,
                         ctx.radio.max_range_m,
                         MaodvPayload::Join { target: up },
                     );
@@ -243,11 +220,11 @@ impl ProtocolAgent for MaodvAgent {
         self.hello_armed = false;
         let active = self
             .last_app_data
-            .map(|t| ctx.now.saturating_since(t) <= self.tree_timeout())
+            .map(|t| ctx.now.saturating_since(t) <= Self::tree_timeout())
             .unwrap_or(false);
         if active {
             self.send_hello(ctx);
-            ctx.set_timer(self.config.hello_interval, TIMER_HELLO, 0);
+            ctx.set_timer(HELLO_INTERVAL, TIMER_HELLO, 0);
             self.hello_armed = true;
         }
     }
@@ -258,12 +235,12 @@ impl ProtocolAgent for MaodvAgent {
         self.seen_data.insert(tag.seq);
         if first || !self.hello_armed {
             self.send_hello(ctx);
-            ctx.set_timer(self.config.hello_interval, TIMER_HELLO, 0);
+            ctx.set_timer(HELLO_INTERVAL, TIMER_HELLO, 0);
             self.hello_armed = true;
         }
         if self.tree_established {
             ctx.broadcast_data(size, ctx.radio.max_range_m, tag, MaodvPayload::Data);
-        } else if self.buffered.len() < self.config.max_buffered {
+        } else if self.buffered.len() < MAX_BUFFERED {
             self.buffered.push((tag, size));
         }
     }

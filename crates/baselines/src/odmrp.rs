@@ -44,38 +44,21 @@ pub enum OdmrpPayload {
     Data,
 }
 
-/// ODMRP configuration.
-#[derive(Clone, Copy, Debug)]
-pub struct OdmrpConfig {
-    /// Join-Query refresh interval while traffic is flowing (the original paper defaults
-    /// to a sub-second refresh; we use 1 s).
-    pub refresh_interval: SimDuration,
-    /// Forwarding-group soft-state lifetime (multiples of the refresh interval).
-    pub fg_timeout_intervals: f64,
-    /// Join-Query size on the wire, bytes.
-    pub join_query_bytes: u32,
-    /// Join-Reply size on the wire, bytes.
-    pub join_reply_bytes: u32,
-    /// How many data packets the source buffers while it has no forwarding mesh yet.
-    pub max_buffered: usize,
-}
-
-impl Default for OdmrpConfig {
-    fn default() -> Self {
-        OdmrpConfig {
-            refresh_interval: SimDuration::from_secs(1),
-            fg_timeout_intervals: 3.0,
-            join_query_bytes: 28,
-            join_reply_bytes: 28,
-            max_buffered: 64,
-        }
-    }
-}
+/// Join-Query refresh interval while traffic is flowing (the original paper defaults to
+/// a sub-second refresh; we use 1 s).
+const REFRESH_INTERVAL: SimDuration = SimDuration::from_secs(1);
+/// Forwarding-group soft-state lifetime (multiples of the refresh interval).
+const FG_TIMEOUT_INTERVALS: f64 = 3.0;
+/// Join-Query size on the wire, bytes.
+const JOIN_QUERY_BYTES: u32 = 28;
+/// Join-Reply size on the wire, bytes.
+const JOIN_REPLY_BYTES: u32 = 28;
+/// How many data packets the source buffers while it has no forwarding mesh yet.
+const MAX_BUFFERED: usize = 64;
 
 /// The per-node ODMRP state machine.
 #[derive(Debug)]
 pub struct OdmrpAgent {
-    config: OdmrpConfig,
     /// Join-Query sequence numbers already processed (duplicate suppression for the flood).
     jq_seen: HashSet<u64>,
     /// Reverse-path next hop towards the source, learned from the freshest Join Query.
@@ -98,10 +81,9 @@ pub struct OdmrpAgent {
 }
 
 impl OdmrpAgent {
-    /// Create an agent with the given configuration.
-    pub fn new(config: OdmrpConfig) -> Self {
+    /// Create an agent with the protocol's fixed parameters.
+    pub fn with_defaults() -> Self {
         OdmrpAgent {
-            config,
             jq_seen: HashSet::new(),
             upstream: None,
             upstream_seq: 0,
@@ -115,11 +97,6 @@ impl OdmrpAgent {
         }
     }
 
-    /// Create an agent with default parameters.
-    pub fn with_defaults() -> Self {
-        Self::new(OdmrpConfig::default())
-    }
-
     /// True if this node is currently part of the forwarding group.
     pub fn is_forwarder(&self, now: SimTime) -> bool {
         now < self.forwarding_until
@@ -130,8 +107,8 @@ impl OdmrpAgent {
         self.upstream
     }
 
-    fn fg_timeout(&self) -> SimDuration {
-        self.config.refresh_interval.mul_f64(self.config.fg_timeout_intervals)
+    fn fg_timeout() -> SimDuration {
+        REFRESH_INTERVAL.mul_f64(FG_TIMEOUT_INTERVALS)
     }
 
     fn send_join_query(&mut self, ctx: &mut NodeCtx<'_, OdmrpPayload>) {
@@ -139,7 +116,7 @@ impl OdmrpAgent {
         self.jq_seq += 1;
         self.jq_seen.insert(seq);
         ctx.broadcast_control(
-            self.config.join_query_bytes,
+            JOIN_QUERY_BYTES,
             ctx.radio.max_range_m,
             OdmrpPayload::JoinQuery { origin: ctx.id, seq, hop: 0 },
         );
@@ -175,14 +152,14 @@ impl ProtocolAgent for OdmrpAgent {
                 // Members answer with a Join Reply that travels back along the reverse path.
                 if ctx.is_member() && !ctx.is_source() {
                     ctx.broadcast_control(
-                        self.config.join_reply_bytes,
+                        JOIN_REPLY_BYTES,
                         ctx.radio.max_range_m,
                         OdmrpPayload::JoinReply { source: *origin, next_hop: packet.sender },
                     );
                 }
                 // Continue the flood.
                 ctx.broadcast_control(
-                    self.config.join_query_bytes,
+                    JOIN_QUERY_BYTES,
                     ctx.radio.max_range_m,
                     OdmrpPayload::JoinQuery { origin: *origin, seq: *seq, hop: hop + 1 },
                 );
@@ -193,13 +170,13 @@ impl ProtocolAgent for OdmrpAgent {
                     // Reply addressed to somebody else: overheard and dropped.
                     return Disposition::Discarded;
                 }
-                self.forwarding_until = ctx.now + self.fg_timeout();
+                self.forwarding_until = ctx.now + Self::fg_timeout();
                 if ctx.is_source() {
                     self.mesh_established = true;
                     self.flush_buffer(ctx);
                 } else if let Some(up) = self.upstream {
                     ctx.broadcast_control(
-                        self.config.join_reply_bytes,
+                        JOIN_REPLY_BYTES,
                         ctx.radio.max_range_m,
                         OdmrpPayload::JoinReply { source: *source, next_hop: up },
                     );
@@ -240,11 +217,11 @@ impl ProtocolAgent for OdmrpAgent {
         self.refresh_armed = false;
         let active = self
             .last_app_data
-            .map(|t| ctx.now.saturating_since(t) <= self.fg_timeout())
+            .map(|t| ctx.now.saturating_since(t) <= Self::fg_timeout())
             .unwrap_or(false);
         if active {
             self.send_join_query(ctx);
-            ctx.set_timer(self.config.refresh_interval, TIMER_REFRESH, 0);
+            ctx.set_timer(REFRESH_INTERVAL, TIMER_REFRESH, 0);
             self.refresh_armed = true;
         }
     }
@@ -255,12 +232,12 @@ impl ProtocolAgent for OdmrpAgent {
         self.seen_data.insert(tag.seq);
         if first || !self.refresh_armed {
             self.send_join_query(ctx);
-            ctx.set_timer(self.config.refresh_interval, TIMER_REFRESH, 0);
+            ctx.set_timer(REFRESH_INTERVAL, TIMER_REFRESH, 0);
             self.refresh_armed = true;
         }
         if self.mesh_established {
             ctx.broadcast_data(size, ctx.radio.max_range_m, tag, OdmrpPayload::Data);
-        } else if self.buffered.len() < self.config.max_buffered {
+        } else if self.buffered.len() < MAX_BUFFERED {
             // Route-acquisition latency: data waits until the first Join Reply arrives.
             self.buffered.push((tag, size));
         }

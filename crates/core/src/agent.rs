@@ -27,13 +27,21 @@ use std::collections::{HashMap, HashSet};
 /// Timer class used for the periodic beacon.
 const TIMER_BEACON: u64 = 1;
 
+/// A neighbour is dropped after this many beacon intervals of silence.
+const NEIGHBOR_TIMEOUT_INTERVALS: f64 = 2.5;
+
+/// Data transmissions reach the farthest relevant child scaled by this margin, to
+/// absorb movement since the child's last beacon.
+const RANGE_MARGIN: f64 = 1.10;
+
 /// Per-node bookkeeping for adaptive beacon suppression ("silent stabilization").
 ///
-/// A node that has observed `quiet_rounds` consecutive beacon rounds with its local
-/// legitimacy predicate holding backs its beacon cadence off exponentially, up to the
-/// configured cap. Any evidence of illegitimacy — a neighbour appearing or expiring, a
-/// parent change, state corruption, or an overheard beacon inconsistent with the cached
-/// neighbour view — resets the state and snaps the cadence back to the base interval.
+/// A node that has observed [`SilenceConfig::QUIET_ROUNDS`] consecutive beacon rounds
+/// with its local legitimacy predicate holding backs its beacon cadence off
+/// exponentially, up to the configured cap. Any evidence of illegitimacy — a neighbour
+/// appearing or expiring, a parent change, state corruption, or an overheard beacon
+/// inconsistent with the cached neighbour view — resets the state and snaps the cadence
+/// back to the base interval.
 #[derive(Clone, Copy, Debug, Default)]
 struct SilenceState {
     /// Consecutive quiet rounds observed since the last evidence.
@@ -70,7 +78,7 @@ impl SilenceState {
         self.evidence = false;
         if quiet {
             self.quiet_rounds = self.quiet_rounds.saturating_add(1);
-            if self.quiet_rounds >= cfg.quiet_rounds {
+            if self.quiet_rounds >= SilenceConfig::QUIET_ROUNDS {
                 self.level = (self.level + 1).min(64);
             }
         } else {
@@ -99,30 +107,20 @@ pub struct SsSpstConfig {
     pub params: MetricParams,
     /// Beacon interval (the paper uses 2 s unless it is the swept parameter).
     pub beacon_interval: SimDuration,
-    /// A neighbour is dropped after this many beacon intervals of silence.
-    pub neighbor_timeout_intervals: f64,
-    /// Data transmissions reach the farthest relevant child scaled by this margin, to
-    /// absorb movement since the child's last beacon.
-    pub range_margin: f64,
-    /// A node abandons a still-valid parent only for a relative improvement larger than
-    /// this (hysteresis against tree flapping).
-    pub switch_margin: f64,
     /// Adaptive beacon suppression. Off by default, which keeps the classic wire
     /// format and cadence byte for byte.
     pub silence: SilenceConfig,
 }
 
 impl SsSpstConfig {
-    /// The paper's defaults for a given metric: 2 s beacons, 2.5-interval neighbour
-    /// timeout, 10 % range margin, 5 % switch hysteresis.
+    /// The paper's defaults for a given metric: 2 s beacons, suppression off. The
+    /// 2.5-interval neighbour timeout, 10 % range margin and 5 % switch hysteresis are
+    /// fixed.
     pub fn paper_default(kind: MetricKind) -> Self {
         SsSpstConfig {
             kind,
             params: MetricParams::default(),
             beacon_interval: SimDuration::from_secs(2),
-            neighbor_timeout_intervals: 2.5,
-            range_margin: 1.10,
-            switch_margin: 0.05,
             silence: SilenceConfig::off(),
         }
     }
@@ -215,7 +213,7 @@ impl SsSpstAgent {
         } else {
             self.config.beacon_interval
         };
-        base.mul_f64(self.config.neighbor_timeout_intervals)
+        base.mul_f64(NEIGHBOR_TIMEOUT_INTERVALS)
     }
 
     /// Drop stale neighbours; returns true when any entry expired (evidence of a
@@ -272,11 +270,10 @@ impl SsSpstAgent {
                     && (kind.is_additive() || !e.parent_is_me)
             })
             .map(|(&u, e)| (u, cost_via(kind, params, &e.view, e.distance), e.view.hop + 1));
-        (self.parent, self.cost, self.hop) =
-            match choose_parent(candidates, self.parent, self.config.switch_margin, true) {
-                Some((u, cost, hop)) => (Some(u), cost, hop),
-                None => (None, self.infinity_cost, self.max_hops),
-            };
+        (self.parent, self.cost, self.hop) = match choose_parent(candidates, self.parent, true) {
+            Some((u, cost, hop)) => (Some(u), cost, hop),
+            None => (None, self.infinity_cost, self.max_hops),
+        };
     }
 
     /// Recompute the bottom-up pruning flag from the children's advertised flags.
@@ -304,7 +301,7 @@ impl SsSpstAgent {
             return;
         };
         let range = if self.config.kind.is_energy_based() {
-            (far * self.config.range_margin).min(ctx.radio.max_range_m)
+            (far * RANGE_MARGIN).min(ctx.radio.max_range_m)
         } else {
             ctx.radio.max_range_m
         };
@@ -872,7 +869,7 @@ mod tests {
             sizes.push(beacon_size(&h.actions));
         }
         assert!(delays[0] <= 2.1, "round one stays at the base cadence");
-        // quiet_rounds = 3, factor 2, cap 8×: levels reach 8 × 2 s = 16 s and hold.
+        // 3 quiet rounds, factor 2, cap 8×: levels reach 8 × 2 s = 16 s and hold.
         let last = *delays.last().unwrap();
         assert!(
             (15.2..=16.8).contains(&last),

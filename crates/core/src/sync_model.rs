@@ -19,6 +19,11 @@ use crate::tree::MulticastTree;
 use rand::Rng;
 use ssmcast_manet::NodeId;
 
+/// A node abandons its current (still valid) parent only if an alternative is better by
+/// more than this relative margin. Prevents oscillation between equal-cost parents
+/// under the node-based metrics.
+const SWITCH_MARGIN: f64 = 0.05;
+
 /// Per-node protocol variables: the paper's `l_v` (cost), `h_v` (hop count) and `p_v`
 /// (parent pointer).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -49,10 +54,6 @@ pub struct SyncModel {
     state: Vec<NodeState>,
     max_hops: u32,
     infinity_cost: f64,
-    /// A node abandons its current (still valid) parent only if an alternative is better
-    /// by more than this relative margin. Prevents oscillation between equal-cost parents
-    /// under the node-based metrics.
-    switch_margin: f64,
     /// Round counter; parent switches are parity-gated on `(round + node id)` so that two
     /// coupled nodes never switch in the same round, which damps the re-pricing
     /// oscillations the node-based metrics (F, E) can otherwise sustain.
@@ -67,16 +68,7 @@ impl SyncModel {
         let max_hops = n as u32;
         let infinity_cost = Self::infinity_for(&topo, kind, &params);
         let state = vec![NodeState { cost: infinity_cost, hop: max_hops, parent: None }; n];
-        SyncModel {
-            topo,
-            kind,
-            params,
-            state,
-            max_hops,
-            infinity_cost,
-            switch_margin: 0.05,
-            round_index: 0,
-        }
+        SyncModel { topo, kind, params, state, max_hops, infinity_cost, round_index: 0 }
     }
 
     /// `E_init`: strictly greater than the maximum possible tree cost, which the paper
@@ -198,7 +190,7 @@ impl SyncModel {
             })
         });
         let current = self.state[v.index()].parent;
-        match choose_parent(candidates, current, self.switch_margin, allow_switch) {
+        match choose_parent(candidates, current, allow_switch) {
             Some((u, cost, hop)) => NodeState { cost, hop, parent: Some(u) },
             None => NodeState { cost: self.infinity_cost, hop: self.max_hops, parent: None },
         }
@@ -249,14 +241,13 @@ impl SyncModel {
 /// The guarded command's parent choice, shared by [`SyncModel`] and the event-driven
 /// agent. `candidates` are the usable neighbours `(u, cost via u, hop via u)`. The
 /// cheapest wins, ties within 1e-12 going to the lower id, unless `current` is still a
-/// candidate and either within `switch_margin` of the best (hysteresis against
+/// candidate and either within [`SWITCH_MARGIN`] of the best (hysteresis against
 /// flapping) or `may_switch` is false (the synchronous model's parity gate, which damps
 /// the coupled re-pricing oscillations of the node-based metrics). `None` means no
 /// neighbour is usable and the node detaches.
 pub(crate) fn choose_parent(
     candidates: impl IntoIterator<Item = (NodeId, f64, u32)>,
     current: Option<NodeId>,
-    switch_margin: f64,
     may_switch: bool,
 ) -> Option<(NodeId, f64, u32)> {
     let mut best: Option<(NodeId, f64, u32)> = None;
@@ -275,7 +266,7 @@ pub(crate) fn choose_parent(
     }
     let (_, best_cost, _) = best?;
     match via_current {
-        Some((_, cc, _)) if !may_switch || cc <= best_cost * (1.0 + switch_margin) + 1e-12 => {
+        Some((_, cc, _)) if !may_switch || cc <= best_cost * (1.0 + SWITCH_MARGIN) + 1e-12 => {
             via_current
         }
         _ => best,

@@ -95,6 +95,8 @@ pub struct FaultEvent {
 /// Scenario-level fault knobs: a compact, copyable description of a seeded fault
 /// schedule. [`FaultPlan::from_spec`] turns it into concrete events using the scenario's
 /// seed sequence, so two runs with the same scenario produce the same schedule.
+/// Crashes, blackouts and drains never target the multicast source; corruption may hit
+/// any node.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlanSpec {
     /// Number of corruption bursts. Each burst corrupts a seeded random subset of nodes
@@ -119,9 +121,6 @@ pub struct FaultPlanSpec {
     pub window_start_s: f64,
     /// End of the fault window.
     pub window_end_s: f64,
-    /// If true (the default), crashes, blackouts and drains never target the multicast
-    /// source; corruption may hit any node.
-    pub spare_source: bool,
     /// Interval between legitimacy probes while the plan is active, seconds.
     pub probe_epoch_s: f64,
 }
@@ -140,7 +139,6 @@ impl FaultPlanSpec {
             drain_joules: 0.0,
             window_start_s: 0.0,
             window_end_s: 0.0,
-            spare_source: true,
             probe_epoch_s: 0.5,
         }
     }
@@ -247,9 +245,10 @@ impl FaultPlan {
             let t = if hi > lo { rng.gen_range(lo..=hi) } else { lo };
             SimTime::from_secs_f64(t)
         };
-        // Nodes 1.. when sparing the source (node 0 by convention in the harness).
-        let draw_node = |rng: &mut StdRng, spare: bool| {
-            let lo = usize::from(spare && n_nodes > 1);
+        // Crashes, blackouts and drains spare the multicast source (node 0 by convention
+        // in the harness) by drawing from nodes 1..; corruption may hit any node.
+        let draw_node = |rng: &mut StdRng| {
+            let lo = usize::from(n_nodes > 1);
             NodeId(rng.gen_range(lo..n_nodes) as u32)
         };
         for _ in 0..spec.corruption_bursts {
@@ -269,7 +268,7 @@ impl FaultPlan {
         }
         for _ in 0..spec.crashes {
             let at = draw_time(&mut rng);
-            let node = draw_node(&mut rng, spec.spare_source);
+            let node = draw_node(&mut rng);
             let down_for = if spec.crash_downtime_s.is_finite() {
                 SimDuration::from_secs_f64(spec.crash_downtime_s.max(0.0))
             } else {
@@ -279,13 +278,13 @@ impl FaultPlan {
         }
         for _ in 0..spec.blackouts {
             let at = draw_time(&mut rng);
-            let node = draw_node(&mut rng, spec.spare_source);
+            let node = draw_node(&mut rng);
             let duration = SimDuration::from_secs_f64(spec.blackout_duration_s.max(0.0));
             plan.push_unsorted(at, FaultKind::Blackout { node, duration });
         }
         for _ in 0..spec.battery_drains {
             let at = draw_time(&mut rng);
-            let node = draw_node(&mut rng, spec.spare_source);
+            let node = draw_node(&mut rng);
             plan.push_unsorted(at, FaultKind::Drain { node, joules: spec.drain_joules.max(0.0) });
         }
         plan.events.sort_by_key(|e| e.at);

@@ -73,7 +73,7 @@ pub use faults::{
 pub use geometry::{Area, Vec2};
 pub use harvest::{HarvestConfig, HarvestPlan};
 pub use lifecycle::{DutyCycleConfig, DutySchedule, LifecycleConfig};
-pub use mac::{CsmaConfig, MacConfig, MacDecision, MacFrame, MacKind, MacPolicy, TdmaConfig};
+pub use mac::{MacConfig, MacDecision, MacFrame, MacKind, MacPolicy};
 pub use medium::{MediumConfig, NeighborQuery, RadioMedium};
 pub use mobility::{
     grid_positions, BoxedMobility, GaussMarkov, GaussMarkovConfig, Mobility, RandomWaypoint,

@@ -17,6 +17,10 @@
 //!   schedule converges to collision-freedom from *any* state, including one scrambled
 //!   by the fault-injection machinery.
 //!
+//! The CSMA backoff (500 µs slots, window 8 → 256, 7 attempts) and the TDMA frame
+//! (32 slots × 3 ms) are fixed constants: a [`MacConfig`] picks only the policy and
+//! whether the default one reports stats.
+//!
 //! The policy decides only *when* a frame transmits (or that it never does); propagation,
 //! loss, capture-effect collisions and energy remain the runtime's business.
 
@@ -41,46 +45,26 @@ pub enum MacKind {
     SsTdma,
 }
 
-/// Knobs for the [`Csma`] policy.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CsmaConfig {
-    /// Backoff slot duration (the contention-window unit).
-    pub slot: SimDuration,
-    /// Initial contention window, in slots.
-    pub cw_min: u32,
-    /// Contention-window cap, in slots.
-    pub cw_max: u32,
-    /// Carrier-sense attempts before the frame is dropped.
-    pub max_attempts: u32,
-}
+// A 0.5 ms slot and an initial window of 8 slots give a dispersion comparable to the
+// legacy 8 ms jitter; seven sense attempts with the window doubling up to 256 slots ride
+// out bursts without holding frames forever.
+/// [`Csma`] backoff slot duration (the contention-window unit).
+const CSMA_SLOT: SimDuration = SimDuration::from_micros(500);
+/// [`Csma`] initial contention window, in slots.
+const CSMA_CW_MIN: u32 = 8;
+/// [`Csma`] contention-window cap, in slots.
+const CSMA_CW_MAX: u32 = 256;
+/// [`Csma`] carrier-sense attempts before the frame is dropped.
+const CSMA_MAX_ATTEMPTS: u32 = 7;
 
-impl Default for CsmaConfig {
-    fn default() -> Self {
-        // A 0.5 ms slot and cw_min = 8 give an initial dispersion comparable to the
-        // legacy 8 ms jitter; seven sense attempts with the window doubling up to 256
-        // slots ride out bursts without holding frames forever.
-        CsmaConfig { slot: SimDuration::from_micros(500), cw_min: 8, cw_max: 256, max_attempts: 7 }
-    }
-}
-
-/// Knobs for the [`SsTdma`] policy.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TdmaConfig {
-    /// Slots per TDMA frame (the schedule length nodes draw from).
-    pub slots_per_frame: u16,
-    /// Duration of one slot. A transmission longer than a slot starts at the slot
-    /// boundary and overruns; shorter ones must fit before the slot ends.
-    pub slot: SimDuration,
-}
-
-impl Default for TdmaConfig {
-    fn default() -> Self {
-        // 3 ms fits the 2.048 ms airtime of the paper's 512-byte data packet with room
-        // for the propagation/processing delay; 32 slots keep the frame (96 ms) close to
-        // the 64 kbps source's packet interval so TDMA delay stays bounded.
-        TdmaConfig { slots_per_frame: 32, slot: SimDuration::from_millis(3) }
-    }
-}
+// 3 ms fits the 2.048 ms airtime of the paper's 512-byte data packet with room for the
+// propagation/processing delay; 32 slots keep the frame (96 ms) close to the 64 kbps
+// source's packet interval so TDMA delay stays bounded.
+/// [`SsTdma`] slots per frame (the schedule length nodes draw from).
+const TDMA_SLOTS_PER_FRAME: u16 = 32;
+/// [`SsTdma`] slot duration. A transmission longer than a slot starts at the slot
+/// boundary and overruns; shorter ones must fit before the slot ends.
+const TDMA_SLOT: SimDuration = SimDuration::from_millis(3);
 
 /// MAC-layer configuration carried by `SimSetup` (and `Scenario` one level up).
 ///
@@ -93,32 +77,23 @@ pub struct MacConfig {
     /// Attach a [`MacStats`] block to the report even for the default policy (the
     /// non-default policies always report).
     pub emit_stats: bool,
-    /// CSMA knobs (ignored by the other policies).
-    pub csma: CsmaConfig,
-    /// TDMA knobs (ignored by the other policies).
-    pub tdma: TdmaConfig,
 }
 
 impl Default for MacConfig {
     fn default() -> Self {
-        MacConfig {
-            kind: MacKind::RandomJitter,
-            emit_stats: false,
-            csma: CsmaConfig::default(),
-            tdma: TdmaConfig::default(),
-        }
+        MacConfig { kind: MacKind::RandomJitter, emit_stats: false }
     }
 }
 
 impl MacConfig {
-    /// CSMA with default knobs (stats on).
+    /// CSMA (stats on).
     pub fn csma() -> Self {
-        MacConfig { kind: MacKind::Csma, emit_stats: true, ..MacConfig::default() }
+        MacConfig { kind: MacKind::Csma, emit_stats: true }
     }
 
-    /// Self-stabilizing TDMA with default knobs (stats on).
+    /// Self-stabilizing TDMA (stats on).
     pub fn ss_tdma() -> Self {
-        MacConfig { kind: MacKind::SsTdma, emit_stats: true, ..MacConfig::default() }
+        MacConfig { kind: MacKind::SsTdma, emit_stats: true }
     }
 
     /// The same configuration with stats reporting forced on. With the default policy
@@ -142,8 +117,8 @@ impl MacConfig {
     pub fn build(&self, n_nodes: usize, seeds: &SeedSequence) -> Box<dyn MacPolicy> {
         match self.kind {
             MacKind::RandomJitter => Box::new(RandomJitter),
-            MacKind::Csma => Box::new(Csma::new(self.csma, n_nodes, seeds)),
-            MacKind::SsTdma => Box::new(SsTdma::new(self.tdma, n_nodes, seeds)),
+            MacKind::Csma => Box::new(Csma::new(n_nodes, seeds)),
+            MacKind::SsTdma => Box::new(SsTdma::new(n_nodes, seeds)),
         }
     }
 }
@@ -281,7 +256,6 @@ impl MacPolicy for RandomJitter {
 /// own receive busy-state plus its own ongoing transmission — and either transmits
 /// immediately or backs off again with the window doubled, up to the retry cap.
 pub struct Csma {
-    cfg: CsmaConfig,
     rngs: Vec<StdRng>,
     /// End of each node's own ongoing transmission (a half-duplex radio cannot sense
     /// the channel idle while it is itself transmitting).
@@ -290,14 +264,14 @@ pub struct Csma {
 
 impl Csma {
     /// Build a CSMA policy for `n_nodes`, with per-node contention RNGs from `seeds`.
-    pub fn new(cfg: CsmaConfig, n_nodes: usize, seeds: &SeedSequence) -> Self {
+    pub fn new(n_nodes: usize, seeds: &SeedSequence) -> Self {
         let rngs = (0..n_nodes as u64).map(|i| seeds.indexed_stream("mac", i)).collect();
-        Csma { cfg, rngs, own_busy_until: vec![SimTime::ZERO; n_nodes] }
+        Csma { rngs, own_busy_until: vec![SimTime::ZERO; n_nodes] }
     }
 
     fn backoff(&mut self, node: usize, cw: u32) -> SimDuration {
         let slots = self.rngs[node].gen_range(0..cw.max(1)) as u64;
-        self.cfg.slot.saturating_mul(slots)
+        CSMA_SLOT.saturating_mul(slots)
     }
 }
 
@@ -313,7 +287,7 @@ impl MacPolicy for Csma {
         let i = frame.sender.index();
         if frame.attempt == 0 {
             // Dispersion backoff before the first carrier sense.
-            let wait = self.backoff(i, self.cfg.cw_min);
+            let wait = self.backoff(i, CSMA_CW_MIN);
             return MacDecision::Defer { until: now + wait };
         }
         let busy = channel.is_busy(frame.sender, now) || self.own_busy_until[i] > now;
@@ -321,14 +295,14 @@ impl MacPolicy for Csma {
             self.own_busy_until[i] = now + radio.tx_duration(frame.size_bytes);
             return MacDecision::Transmit { at: now };
         }
-        if frame.attempt > self.cfg.max_attempts {
+        if frame.attempt > CSMA_MAX_ATTEMPTS {
             return MacDecision::Drop;
         }
-        // Exponential backoff: the window doubles per failed sense, capped at cw_max;
+        // Exponential backoff: the window doubles per failed sense, capped at CSMA_CW_MAX;
         // at least one slot so a zero draw cannot re-sense at the same instant forever.
         let exp = frame.attempt.saturating_sub(1).min(16);
-        let cw = self.cfg.cw_min.saturating_mul(1 << exp).min(self.cfg.cw_max);
-        let wait = self.backoff(i, cw) + self.cfg.slot;
+        let cw = CSMA_CW_MIN.saturating_mul(1 << exp).min(CSMA_CW_MAX);
+        let wait = self.backoff(i, cw) + CSMA_SLOT;
         MacDecision::Defer { until: now + wait }
     }
 
@@ -353,7 +327,6 @@ const NO_CLAIM: u16 = u16::MAX;
 /// within interference range share a slot — and, since every transmission then fits
 /// inside its owner's slot, to collision-freedom.
 pub struct SsTdma {
-    cfg: TdmaConfig,
     n: usize,
     rngs: Vec<StdRng>,
     /// Current slot claimed by each node.
@@ -372,13 +345,11 @@ pub struct SsTdma {
 
 impl SsTdma {
     /// Build a TDMA policy for `n_nodes` with seeded random initial slots.
-    pub fn new(cfg: TdmaConfig, n_nodes: usize, seeds: &SeedSequence) -> Self {
+    pub fn new(n_nodes: usize, seeds: &SeedSequence) -> Self {
         let mut rngs: Vec<StdRng> =
             (0..n_nodes as u64).map(|i| seeds.indexed_stream("mac", i)).collect();
-        let s = cfg.slots_per_frame.max(1);
-        let slots = rngs.iter_mut().map(|rng| rng.gen_range(0..s)).collect();
+        let slots = rngs.iter_mut().map(|rng| rng.gen_range(0..TDMA_SLOTS_PER_FRAME)).collect();
         SsTdma {
-            cfg,
             n: n_nodes,
             rngs,
             slots,
@@ -390,25 +361,17 @@ impl SsTdma {
         }
     }
 
-    fn slot_nanos(&self) -> u64 {
-        self.cfg.slot.as_nanos()
-    }
-
-    fn frame_nanos(&self) -> u64 {
-        self.slot_nanos() * u64::from(self.cfg.slots_per_frame.max(1))
-    }
-
     /// The slot index the instant `t` falls into.
-    fn slot_index(&self, t: SimTime) -> u16 {
-        ((t.as_nanos() / self.slot_nanos()) % u64::from(self.cfg.slots_per_frame.max(1))) as u16
+    fn slot_index(t: SimTime) -> u16 {
+        ((t.as_nanos() / TDMA_SLOT.as_nanos()) % u64::from(TDMA_SLOTS_PER_FRAME)) as u16
     }
 
     /// Earliest instant `>= from` at which `slot`'s owner can start a transmission of
     /// `tx_nanos` and have it fit before the slot ends. A transmission longer than a
     /// whole slot is allowed to start exactly at a slot boundary (and overrun).
-    fn next_tx_instant(&self, slot: u16, from: SimTime, tx_nanos: u64) -> SimTime {
-        let slot_ns = self.slot_nanos();
-        let frame_ns = self.frame_nanos();
+    fn next_tx_instant(slot: u16, from: SimTime, tx_nanos: u64) -> SimTime {
+        let slot_ns = TDMA_SLOT.as_nanos();
+        let frame_ns = slot_ns * u64::from(TDMA_SLOTS_PER_FRAME);
         let need = tx_nanos.min(slot_ns);
         let from_ns = from.as_nanos();
         let base = (from_ns / frame_ns) * frame_ns + u64::from(slot) * slot_ns;
@@ -426,7 +389,7 @@ impl SsTdma {
 
     /// Re-draw node `i`'s slot among those its claim table says are free.
     fn redraw(&mut self, i: usize, t: SimTime) {
-        let s = usize::from(self.cfg.slots_per_frame.max(1));
+        let s = usize::from(TDMA_SLOTS_PER_FRAME);
         let mut taken = vec![false; s];
         for j in 0..self.n {
             let c = self.claims[i * self.n + j];
@@ -463,15 +426,11 @@ impl MacPolicy for SsTdma {
         _loss_rng: &mut StdRng,
     ) -> MacDecision {
         let i = frame.sender.index();
-        if self.cfg.slot.is_zero() {
-            // Degenerate config: slotting disabled, transmit immediately.
-            return MacDecision::Transmit { at: now };
-        }
         let tx = radio.tx_duration(frame.size_bytes);
         // Serialize behind the node's own ongoing transmission, then wait for the
         // owned slot.
         let earliest = now.max(self.own_busy_until[i]);
-        let at = self.next_tx_instant(self.slots[i], earliest, tx.as_nanos());
+        let at = Self::next_tx_instant(self.slots[i], earliest, tx.as_nanos());
         if at == now {
             self.own_busy_until[i] = now + tx;
             MacDecision::Transmit { at: now }
@@ -481,7 +440,7 @@ impl MacPolicy for SsTdma {
     }
 
     fn piggyback_row(&self, sender: NodeId, class: PacketClass) -> Option<Vec<u16>> {
-        if self.cfg.slot.is_zero() || class != PacketClass::Control {
+        if class != PacketClass::Control {
             return None;
         }
         let s = sender.index();
@@ -496,11 +455,11 @@ impl MacPolicy for SsTdma {
         tx_start: SimTime,
         piggyback: Option<&[u16]>,
     ) {
-        if self.cfg.slot.is_zero() || rx == sender {
+        if rx == sender {
             return;
         }
         let (r, s) = (rx.index(), sender.index());
-        let s_slot = self.slot_index(tx_start);
+        let s_slot = Self::slot_index(tx_start);
         self.claims[r * self.n + s] = s_slot;
         // 1-hop conflict: a neighbour transmits in my slot.
         let my = self.slots[r];
@@ -523,8 +482,7 @@ impl MacPolicy for SsTdma {
         // Adversarial state: a fresh arbitrary slot and a wiped claim table. Recovery
         // must come entirely from overhearing.
         let i = node.index();
-        let s = self.cfg.slots_per_frame.max(1);
-        self.slots[i] = self.rngs[i].gen_range(0..s);
+        self.slots[i] = self.rngs[i].gen_range(0..TDMA_SLOTS_PER_FRAME);
         for j in 0..self.n {
             self.claims[i * self.n + j] = NO_CLAIM;
         }
@@ -603,7 +561,7 @@ mod tests {
     fn csma_disperses_then_transmits_on_an_idle_channel() {
         let radio = RadioConfig::default();
         let channel = Channel::new(4, 1);
-        let mut policy = Csma::new(CsmaConfig::default(), 4, &SeedSequence::new(1));
+        let mut policy = Csma::new(4, &SeedSequence::new(1));
         let mut rng = StdRng::seed_from_u64(0);
         // Attempt 0 always defers (dispersion backoff).
         let first = policy.access(&frame(0, 0), at_ms(10), &radio, &channel, &mut rng);
@@ -620,8 +578,7 @@ mod tests {
         let mut channel = Channel::new(2, 1);
         // Keep node 0's receiver busy for a long time.
         channel.try_receive(0, NodeId(0), SimTime::ZERO, at_ms(10_000));
-        let cfg = CsmaConfig::default();
-        let mut policy = Csma::new(cfg, 2, &SeedSequence::new(1));
+        let mut policy = Csma::new(2, &SeedSequence::new(1));
         let mut rng = StdRng::seed_from_u64(0);
         let mut t = at_ms(1);
         let mut attempt = 1u32;
@@ -639,14 +596,14 @@ mod tests {
             }
             assert!(attempt < 100, "must drop at the cap");
         }
-        assert_eq!(deferrals, cfg.max_attempts, "one busy deferral per allowed attempt");
+        assert_eq!(deferrals, CSMA_MAX_ATTEMPTS, "one busy deferral per allowed attempt");
     }
 
     #[test]
     fn csma_own_transmission_blocks_the_next_sense() {
         let radio = RadioConfig::default();
         let channel = Channel::new(2, 1);
-        let mut policy = Csma::new(CsmaConfig::default(), 2, &SeedSequence::new(1));
+        let mut policy = Csma::new(2, &SeedSequence::new(1));
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
             policy.access(&frame(0, 1), at_ms(5), &radio, &channel, &mut rng),
@@ -661,23 +618,22 @@ mod tests {
     fn tdma_transmits_only_inside_the_owned_slot() {
         let radio = RadioConfig::default();
         let channel = Channel::new(4, 1);
-        let cfg = TdmaConfig::default();
-        let mut policy = SsTdma::new(cfg, 4, &SeedSequence::new(3));
+        let mut policy = SsTdma::new(4, &SeedSequence::new(3));
         let mut rng = StdRng::seed_from_u64(0);
         let my_slot = policy.slots[0];
         // At the exact start of the owned slot the frame fits and goes out at once.
-        let slot_start = SimTime::ZERO + cfg.slot.saturating_mul(u64::from(my_slot));
+        let slot_start = SimTime::ZERO + TDMA_SLOT.saturating_mul(u64::from(my_slot));
         let d = policy.access(&frame(0, 0), slot_start, &radio, &channel, &mut rng);
         assert_eq!(d, MacDecision::Transmit { at: slot_start });
         // From a foreign slot, the decision is a defer to an instant inside the owned
         // slot of a later frame.
         let foreign = SimTime::ZERO
-            + cfg.slot.saturating_mul(u64::from((my_slot + 1) % cfg.slots_per_frame))
+            + TDMA_SLOT.saturating_mul(u64::from((my_slot + 1) % TDMA_SLOTS_PER_FRAME))
             + SimDuration::from_micros(10);
         match policy.access(&frame(0, 0), foreign, &radio, &channel, &mut rng) {
             MacDecision::Defer { until } => {
                 assert!(until > foreign);
-                assert_eq!(policy.slot_index(until), my_slot);
+                assert_eq!(SsTdma::slot_index(until), my_slot);
             }
             other => panic!("expected a defer to the owned slot, got {other:?}"),
         }
@@ -687,18 +643,17 @@ mod tests {
     fn tdma_defers_when_the_frame_no_longer_fits_in_the_slot() {
         let radio = RadioConfig::default();
         let channel = Channel::new(2, 1);
-        let cfg = TdmaConfig { slots_per_frame: 8, slot: SimDuration::from_millis(3) };
-        let mut policy = SsTdma::new(cfg, 2, &SeedSequence::new(3));
+        let mut policy = SsTdma::new(2, &SeedSequence::new(3));
         let mut rng = StdRng::seed_from_u64(0);
         let my_slot = policy.slots[0];
         // 2.5 ms into the 3 ms slot a 2.048 ms frame cannot fit any more.
         let late = SimTime::ZERO
-            + cfg.slot.saturating_mul(u64::from(my_slot))
+            + TDMA_SLOT.saturating_mul(u64::from(my_slot))
             + SimDuration::from_micros(2_500);
         match policy.access(&frame(0, 0), late, &radio, &channel, &mut rng) {
             MacDecision::Defer { until } => {
-                assert_eq!(policy.slot_index(until), my_slot, "defers to the next owned slot");
-                assert!(until.as_nanos() >= late.as_nanos() + cfg.slot.as_nanos());
+                assert_eq!(SsTdma::slot_index(until), my_slot, "defers to the next owned slot");
+                assert!(until.as_nanos() >= late.as_nanos() + TDMA_SLOT.as_nanos());
             }
             other => panic!("expected defer, got {other:?}"),
         }
@@ -706,11 +661,10 @@ mod tests {
 
     #[test]
     fn tdma_redraws_on_a_one_hop_conflict() {
-        let cfg = TdmaConfig::default();
-        let mut policy = SsTdma::new(cfg, 4, &SeedSequence::new(3));
+        let mut policy = SsTdma::new(4, &SeedSequence::new(3));
         let before = policy.slots[1];
         // Node 0 transmits inside node 1's slot: node 1 must detect and re-draw.
-        let tx_start = SimTime::ZERO + cfg.slot.saturating_mul(u64::from(before));
+        let tx_start = SimTime::ZERO + TDMA_SLOT.saturating_mul(u64::from(before));
         policy.on_overheard(NodeId(1), NodeId(0), PacketClass::Data, tx_start, None);
         assert_eq!(policy.conflicts, 1);
         assert_eq!(policy.redraws, 1);
@@ -724,16 +678,15 @@ mod tests {
 
     #[test]
     fn tdma_reads_two_hop_claims_from_control_frames_only() {
-        let cfg = TdmaConfig::default();
-        let mut policy = SsTdma::new(cfg, 4, &SeedSequence::new(3));
+        let mut policy = SsTdma::new(4, &SeedSequence::new(3));
         let my = policy.slots[2];
         // Node 1 has observed node 0 claim node 2's slot (in some other slot's
         // transmission — use a non-conflicting instant for node 1 itself).
         let idx = self_idx(&policy, 1, 0);
         policy.claims[idx] = my;
         // A *data* frame from node 1 in a harmless slot teaches node 2 nothing 2-hop.
-        let harmless = (my + 1) % cfg.slots_per_frame;
-        let tx = SimTime::ZERO + cfg.slot.saturating_mul(u64::from(harmless));
+        let harmless = (my + 1) % TDMA_SLOTS_PER_FRAME;
+        let tx = SimTime::ZERO + TDMA_SLOT.saturating_mul(u64::from(harmless));
         // Make sure the harmless slot is not node 2's own.
         assert_ne!(harmless, my);
         policy.on_overheard(NodeId(2), NodeId(1), PacketClass::Data, tx, None);
@@ -749,9 +702,8 @@ mod tests {
         // Sender-side instance (one shard) has observed node 0 claim node 2's slot;
         // the receiver-side instance (another shard) has an empty table. The snapshot
         // taken by `piggyback_row` must expose the 2-hop conflict to the receiver.
-        let cfg = TdmaConfig::default();
-        let mut sender_side = SsTdma::new(cfg, 4, &SeedSequence::new(3));
-        let mut rx_side = SsTdma::new(cfg, 4, &SeedSequence::new(3));
+        let mut sender_side = SsTdma::new(4, &SeedSequence::new(3));
+        let mut rx_side = SsTdma::new(4, &SeedSequence::new(3));
         let my = rx_side.slots[2];
         let idx = self_idx(&sender_side, 1, 0);
         sender_side.claims[idx] = my;
@@ -760,8 +712,8 @@ mod tests {
             .expect("control frames carry the claim table");
         assert_eq!(row[0], my);
         assert_eq!(sender_side.piggyback_row(NodeId(1), PacketClass::Data), None);
-        let harmless = (my + 1) % cfg.slots_per_frame;
-        let tx = SimTime::ZERO + cfg.slot.saturating_mul(u64::from(harmless));
+        let harmless = (my + 1) % TDMA_SLOTS_PER_FRAME;
+        let tx = SimTime::ZERO + TDMA_SLOT.saturating_mul(u64::from(harmless));
         assert_ne!(harmless, my);
         // Without the piggybacked row the receiver-side instance sees no conflict…
         rx_side.on_overheard(NodeId(2), NodeId(1), PacketClass::Control, tx, None);
@@ -778,8 +730,7 @@ mod tests {
 
     #[test]
     fn tdma_corruption_scrambles_state_without_counting_as_recovery() {
-        let cfg = TdmaConfig::default();
-        let mut policy = SsTdma::new(cfg, 3, &SeedSequence::new(3));
+        let mut policy = SsTdma::new(3, &SeedSequence::new(3));
         policy.claims[1] = 5;
         policy.corrupt(NodeId(0));
         assert!(policy.claims[..3].iter().all(|&c| c == NO_CLAIM), "claim table wiped");
@@ -788,18 +739,19 @@ mod tests {
 
     #[test]
     fn tdma_redraw_avoids_every_claimed_slot() {
-        let cfg = TdmaConfig { slots_per_frame: 4, slot: SimDuration::from_millis(3) };
-        let mut policy = SsTdma::new(cfg, 5, &SeedSequence::new(3));
-        // Indices 1..=4 are node 0's row of the 5-wide claim table. Node 0 has seen
-        // slots 0, 1, 3 claimed; a re-draw must land on 2.
-        policy.claims[1] = 0;
-        policy.claims[2] = 1;
-        policy.claims[3] = 3;
+        let n = usize::from(TDMA_SLOTS_PER_FRAME) + 1;
+        let mut policy = SsTdma::new(n, &SeedSequence::new(3));
+        // Indices 1..n are node 0's row of the claim table, one per other node. Node 0
+        // has seen every slot but 2 claimed; a re-draw must land on 2.
+        let others = (0..TDMA_SLOTS_PER_FRAME).filter(|&slot| slot != 2);
+        for (j, slot) in (1..n).zip(others) {
+            policy.claims[j] = slot;
+        }
         policy.redraw(0, SimTime::ZERO);
         assert_eq!(policy.slots[0], 2);
         // With every slot claimed the fallback still terminates with a valid slot.
-        policy.claims[4] = 2;
+        policy.claims[n - 1] = 2;
         policy.redraw(0, SimTime::ZERO);
-        assert!(policy.slots[0] < 4);
+        assert!(policy.slots[0] < TDMA_SLOTS_PER_FRAME);
     }
 }

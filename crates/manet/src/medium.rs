@@ -22,7 +22,6 @@
 use crate::geometry::Vec2;
 use crate::mobility::BoxedMobility;
 use crate::node::NodeId;
-use crate::snapshot::TopologySnapshot;
 use crate::spatial::SpatialIndex;
 use serde::{Deserialize, Serialize};
 use ssmcast_dessim::{SimDuration, SimTime};
@@ -244,13 +243,6 @@ impl RadioMedium {
     pub fn farthest_distance(&mut self, center: Vec2, ids: &[NodeId], t: SimTime) -> f64 {
         ids.iter().map(|&id| self.position_of(id, t).distance(&center)).fold(0.0, f64::max)
     }
-
-    /// Freeze the medium at (the epoch of) `t` into a [`TopologySnapshot`] with the given
-    /// neighbour range.
-    pub fn snapshot(&mut self, t: SimTime, range_m: f64) -> TopologySnapshot {
-        let positions = self.positions(t).to_vec();
-        TopologySnapshot::new(positions, range_m)
-    }
 }
 
 impl std::fmt::Debug for RadioMedium {
@@ -266,7 +258,7 @@ impl std::fmt::Debug for RadioMedium {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mobility::{RandomWaypoint, Stationary, WaypointConfig};
+    use crate::mobility::{RandomWaypoint, WaypointConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -349,19 +341,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn snapshot_reflects_cached_positions() {
-        let mobility: Vec<BoxedMobility> = vec![
-            Box::new(Stationary::new(Vec2::new(0.0, 0.0))),
-            Box::new(Stationary::new(Vec2::new(100.0, 0.0))),
-            Box::new(Stationary::new(Vec2::new(400.0, 0.0))),
-        ];
-        let mut medium = RadioMedium::new(mobility, MediumConfig::default(), 150.0);
-        let snap = medium.snapshot(SimTime::from_secs(1), 150.0);
-        assert!(snap.are_neighbors(NodeId(0), NodeId(1)));
-        assert!(!snap.are_neighbors(NodeId(0), NodeId(2)));
-        assert_eq!(snap.position(NodeId(2)), Vec2::new(400.0, 0.0));
     }
 }

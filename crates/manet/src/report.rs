@@ -16,6 +16,13 @@ use ssmcast_metrics::{
     MetricsConfig, SeqDedup, SilenceStats, StreamingStats, WindowLedger,
 };
 
+/// Bucket width of the unavailability ratio: deliveries are counted per one-second
+/// window of generation time.
+const UNAVAILABILITY_WINDOW: SimDuration = SimDuration::from_secs(1);
+
+/// Per-window delivery ratio below which a window counts as unavailable.
+const AVAILABILITY_THRESHOLD: f64 = 0.95;
+
 /// Raw counters accumulated for one multicast session while a simulation runs.
 ///
 /// Both [`MetricsConfig`] modes record into the same fields; they differ only in the
@@ -25,7 +32,6 @@ use ssmcast_metrics::{
 /// energy totals are bit-equal across modes.
 #[derive(Debug, Clone)]
 pub struct Trace {
-    window: SimDuration,
     /// Data packets generated (their timestamps travel in `DataTag::created_at`).
     generated: u64,
     /// Per-receiver sequence bitmaps: never lapse in exact mode; a 1024-sequence
@@ -47,6 +53,12 @@ pub struct Trace {
     control_bytes: u64,
     data_packets_tx: u64,
     data_bytes_tx: u64,
+}
+
+impl Default for Trace {
+    fn default() -> Self {
+        Trace::new()
+    }
 }
 
 /// Everything a session's [`GroupStats`] block needs beyond the trace counters: identity,
@@ -71,22 +83,18 @@ pub struct GroupAccounting {
     pub overhear_energy_j: f64,
     /// Receptions of this session's frames lost to a collision on the shared medium.
     pub collisions: u64,
-    /// Per-window delivery ratio below which the session counts as unavailable.
-    pub availability_threshold: f64,
 }
 
 impl Trace {
-    /// Create an exact trace. `window` is the bucket used for the unavailability
-    /// ratio. Every historical caller keeps this constructor; streaming accumulation is
-    /// opted into via [`Trace::with_config`].
-    pub fn new(window: SimDuration) -> Self {
-        Trace::with_config(window, &MetricsConfig::exact())
+    /// Create an exact trace. Streaming accumulation is opted into via
+    /// [`Trace::with_config`].
+    pub fn new() -> Self {
+        Trace::with_config(&MetricsConfig::exact())
     }
 
     /// Create a trace in the accumulation mode selected by `metrics`.
-    pub fn with_config(window: SimDuration, metrics: &MetricsConfig) -> Self {
+    pub fn with_config(metrics: &MetricsConfig) -> Self {
         Trace {
-            window,
             generated: 0,
             dedup: SeqDedup::new(metrics.dedup_window()),
             latency: metrics.latency_histogram(),
@@ -110,9 +118,8 @@ impl Trace {
         8 + self.dedup.mem_bytes() + latency + self.windows.mem_bytes()
     }
 
-    fn window_of(&self, t: SimTime) -> u64 {
-        let w = self.window.as_nanos().max(1);
-        t.as_nanos() / w
+    fn window_of(t: SimTime) -> u64 {
+        t.as_nanos() / UNAVAILABILITY_WINDOW.as_nanos()
     }
 
     /// Record that the application generated data packet `seq` at time `t`, owed to
@@ -121,7 +128,7 @@ impl Trace {
     pub fn record_generated(&mut self, _seq: u64, t: SimTime, receivers: u64) {
         self.generated += 1;
         self.expected += receivers;
-        let w = self.window_of(t);
+        let w = Self::window_of(t);
         self.windows.add_expected(w, receivers);
     }
 
@@ -140,7 +147,7 @@ impl Trace {
         if let Some(latency) = &mut self.latency {
             latency.record(delay.as_nanos());
         }
-        let gen_window = self.window_of(tag.created_at);
+        let gen_window = Self::window_of(tag.created_at);
         self.windows.add_delivered(gen_window, 1);
     }
 
@@ -182,12 +189,12 @@ impl Trace {
     }
 
     /// Unavailability over this trace's windows: the fraction whose per-window delivery
-    /// ratio fell below `threshold` (1.0 when no traffic window exists). Defined by
-    /// one shared ledger implementation so the per-session blocks and the merged
-    /// aggregate agree. (The paper does not define the metric formally; see
+    /// ratio fell below [`AVAILABILITY_THRESHOLD`] (1.0 when no traffic window exists).
+    /// Defined by one shared ledger implementation so the per-session blocks and the
+    /// merged aggregate agree. (The paper does not define the metric formally; see
     /// EXPERIMENTS.md.)
-    fn unavailability(&self, threshold: f64) -> f64 {
-        self.windows.unavailability(threshold)
+    fn unavailability(&self) -> f64 {
+        self.windows.unavailability(AVAILABILITY_THRESHOLD)
     }
 
     /// Merge `other` into `self`: counters sum and sketches merge. The sharded engine
@@ -219,7 +226,6 @@ impl Trace {
     }
 
     /// Finish a single-session trace into a [`SimReport`] — the aggregate of one trace.
-    #[allow(clippy::too_many_arguments)]
     pub fn finish(
         &self,
         protocol: &str,
@@ -228,7 +234,6 @@ impl Trace {
         overhear_energy_j: f64,
         collisions: u64,
         data_packet_size: u32,
-        availability_threshold: f64,
     ) -> SimReport {
         Self::finish_aggregate(
             &[(self, data_packet_size)],
@@ -237,7 +242,6 @@ impl Trace {
             total_energy_j,
             overhear_energy_j,
             collisions,
-            availability_threshold,
         )
     }
 
@@ -254,7 +258,6 @@ impl Trace {
         total_energy_j: f64,
         overhear_energy_j: f64,
         collisions: u64,
-        availability_threshold: f64,
     ) -> SimReport {
         let mut generated = 0u64;
         let mut expected = 0u64;
@@ -294,7 +297,7 @@ impl Trace {
             0.0
         };
         let unavailability =
-            windows.as_ref().map(|w| w.unavailability(availability_threshold)).unwrap_or(1.0);
+            windows.as_ref().map(|w| w.unavailability(AVAILABILITY_THRESHOLD)).unwrap_or(1.0);
 
         // When every trace kept a latency histogram (streaming mode), summarize the
         // sketches. Quantiles come from the *merged* histogram (sessions merged here;
@@ -387,7 +390,7 @@ impl Trace {
             overhear_energy_j: acct.overhear_energy_j,
             collisions: acct.collisions,
             join_overhead_bytes_per_event: join_overhead,
-            unavailability_ratio: self.unavailability(acct.availability_threshold),
+            unavailability_ratio: self.unavailability(),
             convergence: None,
         }
     }
@@ -540,14 +543,14 @@ mod tests {
 
     #[test]
     fn pdr_and_delay() {
-        let mut tr = Trace::new(SimDuration::from_secs(1));
+        let mut tr = Trace::new();
         tr.record_generated(0, SimTime::ZERO, 2);
         tr.record_generated(1, SimTime::from_secs_f64(0.5), 2);
         // Packet 0 reaches both members, packet 1 reaches one of two.
         tr.record_delivery(&tag(0, 0), NodeId(1), SimTime::from_secs_f64(0.010));
         tr.record_delivery(&tag(0, 0), NodeId(2), SimTime::from_secs_f64(0.030));
         tr.record_delivery(&tag(1, 500), NodeId(1), SimTime::from_secs_f64(0.520));
-        let r = tr.finish("test", SimDuration::from_secs(1), 0.004, 0.001, 0, 512, 0.95);
+        let r = tr.finish("test", SimDuration::from_secs(1), 0.004, 0.001, 0, 512);
         assert_eq!(r.expected_deliveries, 4);
         assert_eq!(r.delivered, 3);
         assert!((r.pdr - 0.75).abs() < 1e-12);
@@ -558,11 +561,11 @@ mod tests {
 
     #[test]
     fn duplicates_count_once() {
-        let mut tr = Trace::new(SimDuration::from_secs(1));
+        let mut tr = Trace::new();
         tr.record_generated(0, SimTime::ZERO, 1);
         tr.record_delivery(&tag(0, 0), NodeId(1), SimTime::from_secs_f64(0.010));
         tr.record_delivery(&tag(0, 0), NodeId(1), SimTime::from_secs_f64(0.020));
-        let r = tr.finish("test", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let r = tr.finish("test", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         assert_eq!(r.delivered, 1);
         assert_eq!(r.duplicate_deliveries, 1);
         assert_eq!(r.pdr, 1.0);
@@ -570,13 +573,13 @@ mod tests {
 
     #[test]
     fn control_overhead_ratio() {
-        let mut tr = Trace::new(SimDuration::from_secs(1));
+        let mut tr = Trace::new();
         tr.record_generated(0, SimTime::ZERO, 1);
         tr.record_delivery(&tag(0, 0), NodeId(1), SimTime::from_secs_f64(0.010));
         tr.record_control_tx(256);
         tr.record_control_tx(256);
         tr.record_data_tx(512);
-        let r = tr.finish("test", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let r = tr.finish("test", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         assert_eq!(r.control_bytes, 512);
         assert!((r.control_bytes_per_data_byte - 1.0).abs() < 1e-12);
         assert_eq!(r.data_packets_tx, 1);
@@ -584,21 +587,21 @@ mod tests {
 
     #[test]
     fn unavailability_counts_bad_windows() {
-        let mut tr = Trace::new(SimDuration::from_secs(1));
+        let mut tr = Trace::new();
         // Window 0: delivered. Window 1: lost. Window 2: delivered.
         for (seq, secs) in [(0u64, 0.1), (1, 1.1), (2, 2.1)] {
             tr.record_generated(seq, SimTime::from_secs_f64(secs), 1);
         }
         tr.record_delivery(&tag(0, 100), NodeId(1), SimTime::from_secs_f64(0.2));
         tr.record_delivery(&tag(2, 2100), NodeId(1), SimTime::from_secs_f64(2.2));
-        let r = tr.finish("test", SimDuration::from_secs(3), 0.0, 0.0, 0, 512, 0.95);
+        let r = tr.finish("test", SimDuration::from_secs(3), 0.0, 0.0, 0, 512);
         assert!((r.unavailability_ratio - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_run_reports_zero_pdr_and_full_unavailability() {
-        let tr = Trace::new(SimDuration::from_secs(1));
-        let r = tr.finish("test", SimDuration::from_secs(10), 0.0, 0.0, 0, 512, 0.95);
+        let tr = Trace::new();
+        let r = tr.finish("test", SimDuration::from_secs(10), 0.0, 0.0, 0, 512);
         assert_eq!(r.pdr, 0.0);
         assert_eq!(r.unavailability_ratio, 1.0);
         assert_eq!(r.energy_per_delivered_mj, 0.0);
@@ -606,21 +609,21 @@ mod tests {
 
     #[test]
     fn churn_makes_expected_deliveries_a_per_packet_quantity() {
-        let mut tr = Trace::new(SimDuration::from_secs(1));
+        let mut tr = Trace::new();
         tr.record_generated(0, SimTime::from_secs_f64(0.1), 3);
         tr.record_generated(1, SimTime::from_secs_f64(0.2), 1); // two members left
-        let r = tr.finish("test", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let r = tr.finish("test", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         assert_eq!(r.expected_deliveries, 4);
     }
 
     #[test]
     fn aggregate_of_two_sessions_sums_counters_and_merges_windows() {
-        let mut a = Trace::new(SimDuration::from_secs(1));
+        let mut a = Trace::new();
         a.record_generated(0, SimTime::from_secs_f64(0.1), 1);
         a.record_delivery(&tag(0, 100), NodeId(1), SimTime::from_secs_f64(0.2));
         a.record_data_tx(512);
         a.record_control_tx(64);
-        let mut b = Trace::new(SimDuration::from_secs(1));
+        let mut b = Trace::new();
         b.record_generated(0, SimTime::from_secs_f64(0.1), 2);
         // Session b delivers neither copy: the shared window 0 is still available in
         // aggregate only if 2 of 3 expected arrive — with the 0.95 threshold it is not.
@@ -631,7 +634,6 @@ mod tests {
             0.5,
             0.1,
             3,
-            0.95,
         );
         assert_eq!(r.generated, 2);
         assert_eq!(r.expected_deliveries, 3);
@@ -645,26 +647,19 @@ mod tests {
 
     #[test]
     fn aggregate_of_one_trace_equals_finish() {
-        let mut tr = Trace::new(SimDuration::from_secs(1));
+        let mut tr = Trace::new();
         tr.record_generated(0, SimTime::ZERO, 2);
         tr.record_delivery(&tag(0, 0), NodeId(1), SimTime::from_secs_f64(0.010));
         tr.record_control_tx(128);
-        let single = tr.finish("p", SimDuration::from_secs(2), 0.25, 0.125, 1, 512, 0.95);
-        let agg = Trace::finish_aggregate(
-            &[(&tr, 512)],
-            "p",
-            SimDuration::from_secs(2),
-            0.25,
-            0.125,
-            1,
-            0.95,
-        );
+        let single = tr.finish("p", SimDuration::from_secs(2), 0.25, 0.125, 1, 512);
+        let agg =
+            Trace::finish_aggregate(&[(&tr, 512)], "p", SimDuration::from_secs(2), 0.25, 0.125, 1);
         assert_eq!(single, agg);
     }
 
     #[test]
     fn group_stats_render_the_per_session_block() {
-        let mut tr = Trace::new(SimDuration::from_secs(1));
+        let mut tr = Trace::new();
         tr.record_generated(0, SimTime::from_secs_f64(0.1), 2);
         tr.record_delivery(&tag(0, 100), NodeId(1), SimTime::from_secs_f64(0.15));
         tr.record_control_tx(100);
@@ -679,7 +674,6 @@ mod tests {
             energy_j: 0.75,
             overhear_energy_j: 0.25,
             collisions: 4,
-            availability_threshold: 0.95,
         });
         assert_eq!(g.group, 2);
         assert_eq!(g.source, 7);
@@ -695,8 +689,8 @@ mod tests {
 
     #[test]
     fn serialization_omits_groups_when_absent_and_renders_them_when_present() {
-        let tr = Trace::new(SimDuration::from_secs(1));
-        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let tr = Trace::new();
+        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         let mut plain = String::new();
         r.serialize_json(&mut plain);
         assert!(plain.ends_with("\"convergence\":null}"), "no groups key at all: {plain}");
@@ -711,7 +705,6 @@ mod tests {
             energy_j: 0.0,
             overhear_energy_j: 0.0,
             collisions: 0,
-            availability_threshold: 0.95,
         })]);
         let mut tagged = String::new();
         r.serialize_json(&mut tagged);
@@ -720,8 +713,8 @@ mod tests {
 
     #[test]
     fn serialization_omits_lifetime_when_absent_and_renders_it_when_present() {
-        let tr = Trace::new(SimDuration::from_secs(1));
-        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let tr = Trace::new();
+        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         let mut plain = String::new();
         r.serialize_json(&mut plain);
         assert!(!plain.contains("\"lifetime\""), "no lifetime key for unlimited runs: {plain}");
@@ -740,8 +733,8 @@ mod tests {
 
     #[test]
     fn serialization_omits_mac_when_absent_and_renders_it_when_present() {
-        let tr = Trace::new(SimDuration::from_secs(1));
-        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let tr = Trace::new();
+        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         let mut plain = String::new();
         r.serialize_json(&mut plain);
         assert!(!plain.contains("\"mac\""), "no mac key for default-policy runs: {plain}");
@@ -762,8 +755,8 @@ mod tests {
     #[test]
     fn serialization_omits_silence_when_absent_and_renders_it_when_present() {
         use ssmcast_metrics::SessionSilence;
-        let tr = Trace::new(SimDuration::from_secs(1));
-        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let tr = Trace::new();
+        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         let mut plain = String::new();
         r.serialize_json(&mut plain);
         assert!(!plain.contains("\"silence\""), "no silence key for suppression-off runs: {plain}");
@@ -785,8 +778,8 @@ mod tests {
 
     #[test]
     fn serialization_omits_engine_when_absent_and_renders_it_when_present() {
-        let tr = Trace::new(SimDuration::from_secs(1));
-        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let tr = Trace::new();
+        let mut r = tr.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         let mut plain = String::new();
         r.serialize_json(&mut plain);
         assert!(!plain.contains("\"engine\""), "no engine key when stats are off: {plain}");
@@ -802,9 +795,8 @@ mod tests {
 
     #[test]
     fn absorb_merges_disjoint_trace_pieces_exactly() {
-        let window = SimDuration::from_secs(1);
         // One trace that saw everything...
-        let mut whole = Trace::new(window);
+        let mut whole = Trace::new();
         whole.record_generated(0, SimTime::ZERO, 2);
         whole.record_generated(1, SimTime::from_secs_f64(1.5), 2);
         whole.record_delivery(&tag(0, 0), NodeId(1), SimTime::from_secs_f64(0.010));
@@ -813,29 +805,28 @@ mod tests {
         whole.record_control_tx(100);
         whole.record_data_tx(512);
         // ...versus two shard-local pieces covering the same run.
-        let mut a = Trace::new(window);
+        let mut a = Trace::new();
         a.record_generated(0, SimTime::ZERO, 2);
         a.record_generated(1, SimTime::from_secs_f64(1.5), 2);
         a.record_delivery(&tag(0, 0), NodeId(1), SimTime::from_secs_f64(0.010));
         a.record_control_tx(100);
         a.record_data_tx(512);
-        let mut b = Trace::new(window);
+        let mut b = Trace::new();
         b.record_delivery(&tag(0, 0), NodeId(2), SimTime::from_secs_f64(0.020));
         b.record_delivery(&tag(0, 0), NodeId(2), SimTime::from_secs_f64(0.030)); // dup
         a.absorb(&b);
-        let merged = a.finish("p", SimDuration::from_secs(2), 0.5, 0.25, 3, 512, 0.95);
-        let direct = whole.finish("p", SimDuration::from_secs(2), 0.5, 0.25, 3, 512, 0.95);
+        let merged = a.finish("p", SimDuration::from_secs(2), 0.5, 0.25, 3, 512);
+        let direct = whole.finish("p", SimDuration::from_secs(2), 0.5, 0.25, 3, 512);
         assert_eq!(merged, direct);
     }
 
     #[test]
     fn exact_dedup_never_lapses_and_node_disjoint_pieces_merge_exactly() {
-        let window = SimDuration::from_secs(1);
         let at = |ms: u64| SimTime::ZERO + SimDuration::from_millis(ms);
         // The one intended difference between the modes: a receiver that gets seq 0
         // after seq 5 000 has lapsed streaming's 1024-sequence window.
-        let mut exact = Trace::new(window);
-        let mut streaming = Trace::with_config(window, &MetricsConfig::streaming());
+        let mut exact = Trace::new();
+        let mut streaming = Trace::with_config(&MetricsConfig::streaming());
         for tr in [&mut exact, &mut streaming] {
             tr.record_generated(0, at(0), 1);
             tr.record_generated(5_000, at(10), 1);
@@ -847,8 +838,8 @@ mod tests {
 
         // Exact traces split into two node-disjoint pieces merge back to the unsplit one,
         // including the duplicate state: a late copy is a duplicate either way.
-        let mut whole = Trace::new(window);
-        let mut pieces = [Trace::new(window), Trace::new(window)];
+        let mut whole = Trace::new();
+        let mut pieces = [Trace::new(), Trace::new()];
         for seq in [0u64, 3_000, 7, 9_000] {
             whole.record_generated(seq, at(seq), 3);
             pieces[0].record_generated(seq, at(seq), 3);
@@ -865,8 +856,7 @@ mod tests {
         for tr in [&mut whole, &mut merged] {
             tr.record_delivery(&tag(7, 7), NodeId(1), at(9_500));
         }
-        let finish =
-            |tr: &Trace| tr.finish("p", SimDuration::from_secs(10), 0.5, 0.25, 0, 512, 0.95);
+        let finish = |tr: &Trace| tr.finish("p", SimDuration::from_secs(10), 0.5, 0.25, 0, 512);
         assert_eq!(finish(&merged), finish(&whole));
         assert_eq!(finish(&whole).delivered, 12);
         assert_eq!(finish(&whole).duplicate_deliveries, 13);
@@ -874,9 +864,8 @@ mod tests {
 
     /// Drive one exact and one streaming trace through the same event sequence.
     fn mirrored_traces() -> (Trace, Trace) {
-        let window = SimDuration::from_secs(1);
-        let mut exact = Trace::new(window);
-        let mut streaming = Trace::with_config(window, &MetricsConfig::streaming());
+        let mut exact = Trace::new();
+        let mut streaming = Trace::with_config(&MetricsConfig::streaming());
         for tr in [&mut exact, &mut streaming] {
             tr.record_generated(0, SimTime::ZERO, 2);
             tr.record_generated(1, SimTime::from_secs_f64(0.5), 2);
@@ -893,8 +882,8 @@ mod tests {
     #[test]
     fn streaming_trace_matches_exact_scalars_and_attaches_block() {
         let (exact, streaming) = mirrored_traces();
-        let re = exact.finish("p", SimDuration::from_secs(1), 0.5, 0.1, 2, 512, 0.95);
-        let rs = streaming.finish("p", SimDuration::from_secs(1), 0.5, 0.1, 2, 512, 0.95);
+        let re = exact.finish("p", SimDuration::from_secs(1), 0.5, 0.1, 2, 512);
+        let rs = streaming.finish("p", SimDuration::from_secs(1), 0.5, 0.1, 2, 512);
         // Every scalar the exact mode reports is bit-equal (the streaming block is the
         // only difference).
         assert_eq!(re.generated, rs.generated);
@@ -916,11 +905,10 @@ mod tests {
 
     #[test]
     fn streaming_absorb_merges_disjoint_pieces_exactly() {
-        let window = SimDuration::from_secs(1);
         let cfg = MetricsConfig::streaming();
-        let mut whole = Trace::with_config(window, &cfg);
-        let mut a = Trace::with_config(window, &cfg);
-        let mut b = Trace::with_config(window, &cfg);
+        let mut whole = Trace::with_config(&cfg);
+        let mut a = Trace::with_config(&cfg);
+        let mut b = Trace::with_config(&cfg);
         whole.record_generated(0, SimTime::ZERO, 2);
         a.record_generated(0, SimTime::ZERO, 2);
         for (piece, rx, ms) in [(0usize, 1u32, 10u64), (1, 2, 20), (1, 2, 25)] {
@@ -929,20 +917,19 @@ mod tests {
             target.record_delivery(&tag(0, 0), NodeId(rx), SimTime::from_secs_f64(ms as f64 / 1e3));
         }
         a.absorb(&b);
-        let merged = a.finish("p", SimDuration::from_secs(1), 0.5, 0.25, 0, 512, 0.95);
-        let direct = whole.finish("p", SimDuration::from_secs(1), 0.5, 0.25, 0, 512, 0.95);
+        let merged = a.finish("p", SimDuration::from_secs(1), 0.5, 0.25, 0, 512);
+        let direct = whole.finish("p", SimDuration::from_secs(1), 0.5, 0.25, 0, 512);
         assert_eq!(merged, direct);
     }
 
     #[test]
     fn serialization_omits_streaming_when_absent_and_renders_it_when_present() {
         let (exact, streaming) = mirrored_traces();
-        let plain_report = exact.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let plain_report = exact.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         let mut plain = String::new();
         plain_report.serialize_json(&mut plain);
         assert!(!plain.contains("\"streaming\""), "no streaming key in exact mode: {plain}");
-        let streaming_report =
-            streaming.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512, 0.95);
+        let streaming_report = streaming.finish("p", SimDuration::from_secs(1), 0.0, 0.0, 0, 512);
         let mut tagged = String::new();
         streaming_report.serialize_json(&mut tagged);
         assert!(

@@ -24,7 +24,6 @@ use crate::packet::{DataTag, Packet, PacketClass};
 use crate::report::{GroupAccounting, SimReport, Trace};
 use crate::session::{MembershipChange, SessionSetup};
 use crate::silence::SilenceConfig;
-use crate::snapshot::TopologySnapshot;
 use crate::traffic::TrafficConfig;
 use semantics::{observe, Curves, Key, NodeCore, ProbeScratch, Seam};
 use ssmcast_dessim::{EventId, SeedSequence, SimDuration, SimTime, Simulator};
@@ -53,10 +52,6 @@ pub struct SimSetup {
     /// distance-based TX power control. [`LifecycleConfig::off`] (the default) keeps
     /// runs byte-identical to pre-lifecycle builds.
     pub lifecycle: LifecycleConfig,
-    /// Window used for the unavailability ratio.
-    pub unavailability_window: SimDuration,
-    /// Per-window delivery ratio below which the service counts as unavailable.
-    pub availability_threshold: f64,
     /// Medium-access policy deciding when pending broadcasts hit the air. The default
     /// ([`MacConfig::default`]: random jitter, stats off) reproduces pre-MAC-layer runs
     /// byte-identically.
@@ -90,14 +85,11 @@ pub struct SimSetup {
 impl SimSetup {
     /// A single-session setup — the paper's shape, and the one every pre-multi-group
     /// call site used.
-    #[allow(clippy::too_many_arguments)]
     pub fn single(
         radio: RadioConfig,
         traffic: TrafficConfig,
         roles: Vec<GroupRole>,
         battery_capacity_j: f64,
-        unavailability_window: SimDuration,
-        availability_threshold: f64,
         seeds: SeedSequence,
         medium: MediumConfig,
         faults: FaultPlan,
@@ -110,8 +102,6 @@ impl SimSetup {
             battery_capacity_j,
             lifecycle: LifecycleConfig::off(),
             mac: MacConfig::default(),
-            unavailability_window,
-            availability_threshold,
             seeds,
             medium,
             faults,
@@ -120,30 +110,6 @@ impl SimSetup {
             metrics: MetricsConfig::default(),
             harvest: HarvestConfig::off(),
         }
-    }
-
-    /// The same setup under a different engine configuration.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// The same setup under a different beacon-suppression configuration.
-    pub fn with_silence(mut self, silence: SilenceConfig) -> Self {
-        self.silence = silence;
-        self
-    }
-
-    /// The same setup under a different report-accumulation mode.
-    pub fn with_metrics(mut self, metrics: MetricsConfig) -> Self {
-        self.metrics = metrics;
-        self
-    }
-
-    /// The same setup under a different energy-harvesting configuration.
-    pub fn with_harvest(mut self, harvest: HarvestConfig) -> Self {
-        self.harvest = harvest;
-        self
     }
 
     /// Number of nodes in the network.
@@ -392,18 +358,6 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         session * self.setup.n_nodes + node.index()
     }
 
-    /// Current positions of all nodes as a [`TopologySnapshot`] (uses the *maximum* radio
-    /// range as the neighbour relation).
-    pub fn snapshot(&mut self) -> TopologySnapshot {
-        let t = self.sim.now();
-        self.medium.snapshot(t, self.setup.radio.max_range_m)
-    }
-
-    /// The radio medium (position cache + spatial index) driving this simulation.
-    pub fn medium(&self) -> &RadioMedium {
-        &self.medium
-    }
-
     /// Access a node's battery (for tests and the energy-budget example).
     pub fn battery(&self, n: NodeId) -> &Battery {
         &self.core.batteries[n.index()]
@@ -420,19 +374,9 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         &self.core.agents[self.idx(session, n)]
     }
 
-    /// Node `n`'s current role in `session` (membership churn applied).
-    pub fn role_in(&self, session: usize, n: NodeId) -> GroupRole {
-        self.core.memberships[self.idx(session, n)]
-    }
-
     /// Total number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.sim.events_processed()
-    }
-
-    /// True while node `n` is crashed by an injected fault.
-    pub fn is_crashed(&self, n: NodeId) -> bool {
-        self.core.crashed[n.index()]
     }
 
     /// The instant node `n`'s battery was observed depleted, if it is currently dead.
@@ -440,11 +384,6 @@ impl<A: ProtocolAgent> NetworkSim<A> {
     /// rejoin. A harvest wake clears the entry.
     pub fn death_time(&self, n: NodeId) -> Option<SimTime> {
         self.core.death_at[n.index()]
-    }
-
-    /// The materialised duty-cycle schedule driving this run's radios.
-    pub fn duty_schedule(&self) -> &DutySchedule {
-        &self.core.duty
     }
 
     /// True when this run tracks the energy lifecycle (finite batteries or continuous
@@ -505,24 +444,9 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         }
     }
 
-    /// Network-wide energy consumed so far, joules (running total for mid-run probes).
-    pub fn energy_consumed_j(&self) -> f64 {
-        self.core.batteries.iter().map(Battery::consumed).sum()
-    }
-
     /// Energy attributed to session `session`'s frames so far, joules.
     pub fn session_energy_j(&self, session: usize) -> f64 {
         self.core.energy[session]
-    }
-
-    /// Control packets transmitted so far, network-wide.
-    pub fn control_packets_sent(&self) -> u64 {
-        self.core.traces.iter().map(Trace::control_packets).sum()
-    }
-
-    /// Data packet transmissions so far, network-wide.
-    pub fn data_packets_sent(&self) -> u64 {
-        self.core.traces.iter().map(Trace::data_packets_tx).sum()
     }
 
     /// The phase-split control-traffic block, when suppression accounting is on.
@@ -718,7 +642,6 @@ impl<A: ProtocolAgent> NetworkSim<A> {
             total_energy,
             overhear,
             core.channel.collisions(),
-            self.setup.availability_threshold,
         );
         if self.setup.has_group_dynamics() {
             let groups = self
@@ -737,7 +660,6 @@ impl<A: ProtocolAgent> NetworkSim<A> {
                         energy_j: core.energy[s],
                         overhear_energy_j: core.overhear[s],
                         collisions: core.channel.collisions_for(s),
-                        availability_threshold: self.setup.availability_threshold,
                     })
                 })
                 .collect();
@@ -838,8 +760,6 @@ mod tests {
             line_traffic(0, NodeId(0)),
             roles,
             f64::INFINITY,
-            SimDuration::from_secs(1),
-            0.95,
             SeedSequence::new(7),
             MediumConfig::default(),
             FaultPlan::new(),

@@ -249,9 +249,7 @@ impl<A: ProtocolAgent> NodeCore<A> {
             receiver_counts: setup.sessions.iter().map(|s| s.initial_receivers()).collect(),
             joins: vec![0; n_sessions],
             leaves: vec![0; n_sessions],
-            traces: (0..n_sessions)
-                .map(|_| Trace::with_config(setup.unavailability_window, &setup.metrics))
-                .collect(),
+            traces: (0..n_sessions).map(|_| Trace::with_config(&setup.metrics)).collect(),
             energy: vec![0.0; energy_slots],
             overhear: vec![0.0; energy_slots],
             channel: Channel::new(n, n_sessions),

@@ -4,11 +4,12 @@
 //! The paper's SS protocols beacon at a fixed cadence forever, so in a legitimate
 //! state every control byte is pure overhead. With suppression enabled, an agent
 //! that has observed its *local* legitimacy predicate hold for
-//! [`SilenceConfig::quiet_rounds`] consecutive beacon rounds backs its beacon timer
+//! [`SilenceConfig::QUIET_ROUNDS`] (3) consecutive beacon rounds backs its beacon timer
 //! off exponentially — each further quiet round multiplies the interval by
-//! [`SilenceConfig::backoff_factor`], capped at
+//! [`SilenceConfig::BACKOFF_FACTOR`] (2), capped at
 //! [`SilenceConfig::max_interval_factor`] × the base interval (the heartbeat floor
-//! that keeps neighbour tables alive). Any evidence of illegitimacy — a neighbour
+//! that keeps neighbour tables alive). The cap is the only tunable part of the
+//! schedule. Any evidence of illegitimacy — a neighbour
 //! appearing or expiring, a parent change or loss, corrupted state, an overheard
 //! beacon inconsistent with the recorded neighbour view — snaps the interval back to
 //! the base `beacon_interval` immediately.
@@ -24,24 +25,20 @@ use ssmcast_dessim::SimDuration;
 pub struct SilenceConfig {
     /// Master switch. `false` (the default) reproduces always-on beaconing exactly.
     pub enabled: bool,
-    /// Consecutive quiet beacon rounds before the first backoff step.
-    pub quiet_rounds: u32,
-    /// Interval multiplier applied per additional quiet round once backoff has begun.
-    pub backoff_factor: f64,
     /// Cap on the suppressed interval, as a multiple of the base beacon interval.
     /// `1.0` disables the backoff while keeping phase accounting on.
     pub max_interval_factor: f64,
 }
 
 impl SilenceConfig {
+    /// Consecutive quiet beacon rounds before the first backoff step.
+    pub const QUIET_ROUNDS: u32 = 3;
+    /// Interval multiplier applied per additional quiet round once backoff has begun.
+    pub const BACKOFF_FACTOR: f64 = 2.0;
+
     /// Suppression disabled (the default): classic fixed-cadence beaconing.
     pub fn off() -> Self {
-        SilenceConfig {
-            enabled: false,
-            quiet_rounds: 3,
-            backoff_factor: 2.0,
-            max_interval_factor: 8.0,
-        }
+        SilenceConfig { enabled: false, max_interval_factor: 8.0 }
     }
 
     /// Suppression enabled with the default schedule: after 3 quiet rounds, double
@@ -56,20 +53,13 @@ impl SilenceConfig {
         self
     }
 
-    /// The same configuration with a different quiet-round threshold (clamped to ≥ 1).
-    pub fn with_quiet_rounds(mut self, rounds: u32) -> Self {
-        self.quiet_rounds = rounds.max(1);
-        self
-    }
-
     /// The beacon interval at backoff `level` (number of quiet rounds past the
     /// threshold), given the agent's base interval. Level 0 is the base cadence.
     pub fn interval_at(&self, base: SimDuration, level: u32) -> SimDuration {
         if !self.enabled || level == 0 {
             return base;
         }
-        let factor =
-            self.backoff_factor.max(1.0).powi(level.min(64) as i32).min(self.max_interval_factor);
+        let factor = Self::BACKOFF_FACTOR.powi(level.min(64) as i32).min(self.max_interval_factor);
         base.mul_f64(factor.max(1.0))
     }
 }
@@ -110,6 +100,5 @@ mod tests {
         let base = SimDuration::from_secs(2);
         assert_eq!(cfg.interval_at(base, 5), base);
         assert_eq!(SilenceConfig::on().with_max_interval_factor(0.2).max_interval_factor, 1.0);
-        assert_eq!(SilenceConfig::on().with_quiet_rounds(0).quiet_rounds, 1);
     }
 }

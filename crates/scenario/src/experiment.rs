@@ -130,14 +130,8 @@ impl Experiment {
     /// Override the radio medium configuration (position-cache epoch, neighbour-query
     /// mode) for every run in the grid, including columns from an earlier
     /// [`Experiment::sweep`] call.
-    pub fn medium(mut self, medium: ssmcast_manet::MediumConfig) -> Self {
-        self.base.medium = medium;
-        if let Some(columns) = &mut self.columns {
-            for (_, scenario) in columns.iter_mut() {
-                scenario.medium = medium;
-            }
-        }
-        self
+    pub fn medium(self, medium: ssmcast_manet::MediumConfig) -> Self {
+        self.override_all(|s| s.medium = medium)
     }
 
     /// Override the fault-injection spec for every run in the grid, including columns
@@ -148,26 +142,23 @@ impl Experiment {
     /// Because the override reaches every column, do **not** combine it with a
     /// [`crate::SweptParameter::FaultBursts`] sweep (it would overwrite the per-column
     /// burst counts) — set the base scenario's `faults` before that sweep instead.
-    pub fn faults(mut self, faults: ssmcast_manet::FaultPlanSpec) -> Self {
-        self.base.faults = faults;
-        if let Some(columns) = &mut self.columns {
-            for (_, scenario) in columns.iter_mut() {
-                scenario.faults = faults;
-            }
-        }
-        self
+    pub fn faults(self, faults: ssmcast_manet::FaultPlanSpec) -> Self {
+        self.override_all(|s| s.faults = faults)
     }
 
     /// Override the event-loop engine for every run in the grid, including columns from
     /// an earlier [`Experiment::sweep`] call. The default sequential engine reproduces
     /// earlier builds byte for byte; [`ssmcast_manet::EngineConfig::sharded`] runs each
     /// cell on the region-parallel engine (shard-count invariant results).
-    pub fn engine(mut self, engine: ssmcast_manet::EngineConfig) -> Self {
-        self.base.engine = engine;
-        if let Some(columns) = &mut self.columns {
-            for (_, scenario) in columns.iter_mut() {
-                scenario.engine = engine;
-            }
+    pub fn engine(self, engine: ssmcast_manet::EngineConfig) -> Self {
+        self.override_all(|s| s.engine = engine)
+    }
+
+    /// Apply `patch` to the base scenario and to every column already built.
+    fn override_all(mut self, patch: impl Fn(&mut Scenario)) -> Self {
+        patch(&mut self.base);
+        for (_, scenario) in self.columns.iter_mut().flatten() {
+            patch(scenario);
         }
         self
     }
@@ -340,6 +331,17 @@ mod tests {
                 assert_eq!(*report, expected, "cell xi={xi} rep={rep} diverged");
             }
         }
+    }
+
+    #[test]
+    fn zero_repetitions_run_once_and_keep_the_grid_shape() {
+        let cells = Experiment::new(small_base())
+            .protocol_kinds(&[ProtocolKind::Flooding, ProtocolKind::Odmrp])
+            .sweep_with([1.0, 5.0], |s, v| s.max_speed_mps = v)
+            .reps(0)
+            .run();
+        assert_eq!(cells.len(), 4);
+        assert!(cells.iter().all(|c| c.reports.len() == 1), "reps are clamped to at least 1");
     }
 
     #[test]

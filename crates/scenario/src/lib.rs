@@ -17,7 +17,7 @@
 //!   [`sink::RunSink`].
 //! * [`sink`] — streaming consumers: in-memory, progress lines, incremental CSV and JSON
 //!   Lines, and fan-out.
-//! * [`sweep`] — the sweep result types and metric extractors, plus legacy shims.
+//! * [`sweep`] — the sweep result types and metric extractors.
 //! * [`presets`] — one [`presets::FigureId`] per evaluation figure (7–16) with the exact
 //!   swept parameter, x values, protocols and metric; [`presets::run_figure`] regenerates
 //!   any of them (see `EXPERIMENTS.md`).
@@ -49,8 +49,7 @@ pub use sink::{
     CellInfo, CsvStreamSink, JsonLinesSink, MemorySink, NullSink, ProgressSink, RunSink, TeeSink,
 };
 pub use ssmcast_manet::{
-    CsmaConfig, DutyCycleConfig, FaultPlanSpec, HarvestConfig, LifecycleConfig, MacConfig, MacKind,
-    TdmaConfig,
+    DutyCycleConfig, FaultPlanSpec, HarvestConfig, LifecycleConfig, MacConfig, MacKind,
 };
 pub use ssmcast_metrics::MetricsConfig;
-pub use sweep::{sweep, to_series, Metric, SweepCell};
+pub use sweep::{to_series, Metric, SweepCell};

@@ -8,7 +8,7 @@ use crate::protocol::Protocol;
 use crate::scenario::{MobilityKind, Scenario};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use ssmcast_dessim::{SeedSequence, SimDuration, SimTime};
+use ssmcast_dessim::{SeedSequence, SimTime};
 use ssmcast_manet::{
     grid_positions, Area, BoxedMobility, FaultPlan, GaussMarkov, GaussMarkovConfig, GroupId,
     GroupRole, MembershipChange, MembershipEvent, NodeId, RandomWaypoint, SessionSetup, SimReport,
@@ -164,8 +164,6 @@ pub fn build_setup(scenario: &Scenario, seeds: SeedSequence) -> SimSetup {
         n_nodes: scenario.n_nodes,
         battery_capacity_j: scenario.battery_capacity_j,
         lifecycle: scenario.lifecycle,
-        unavailability_window: SimDuration::from_secs(1),
-        availability_threshold: 0.95,
         // The schedule is materialised from the scenario's spec with the scenario's own
         // seed stream: same (scenario, seed) ⇒ same fault events, for every protocol.
         faults: FaultPlan::from_spec(&scenario.faults, scenario.n_nodes, &seeds),
@@ -195,6 +193,7 @@ mod tests {
     use crate::protocol::ProtocolRegistry;
     use crate::scenario::ProtocolKind;
     use ssmcast_core::MetricKind;
+    use ssmcast_dessim::SimDuration;
 
     #[test]
     fn roles_have_one_source_and_the_requested_receivers() {

@@ -242,12 +242,6 @@ impl Scenario {
         self
     }
 
-    /// The same scenario under a different event-loop engine.
-    pub fn with_engine(mut self, engine: EngineConfig) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// The same scenario on the sharded engine with `shards` worker threads.
     pub fn with_shards(mut self, shards: u32) -> Self {
         self.engine = EngineConfig { shards: shards.max(1), ..self.engine };

@@ -1,7 +1,6 @@
-//! Sweep result types ([`SweepCell`], [`Metric`], [`to_series`]) and the legacy [`sweep`]
-//! compatibility shim over [`crate::Experiment`].
+//! Sweep result types: [`SweepCell`], [`Metric`] and [`to_series`]. Sweeps themselves
+//! run through [`crate::Experiment`].
 
-use crate::scenario::{ProtocolKind, Scenario};
 use serde::{Deserialize, Serialize};
 use ssmcast_manet::SimReport;
 use ssmcast_metrics::Series;
@@ -122,44 +121,6 @@ pub struct SweepCell {
     pub reports: Vec<SimReport>,
 }
 
-/// Compatibility shim: run a sweep grid and collect every cell.
-///
-/// For every x in `xs`, apply `configure(x)` to a copy of `base`, and run every protocol
-/// `reps` times. Delegates to [`crate::Experiment`], which runs cells on a thread pool,
-/// indexes results directly by `(x, protocol)` and derives collision-free per-run seeds;
-/// prefer building an [`crate::Experiment`] directly (it can also *stream* cells through
-/// a [`crate::RunSink`] instead of materialising the grid).
-pub fn sweep<F>(
-    base: &Scenario,
-    xs: &[f64],
-    protocols: &[ProtocolKind],
-    reps: usize,
-    configure: F,
-) -> Vec<SweepCell>
-where
-    F: Fn(&mut Scenario, f64) + Sync,
-{
-    if reps == 0 {
-        // Legacy behaviour: a zero-repetition sweep does no work and yields the grid
-        // shape with empty report lists (the builder itself clamps to ≥ 1).
-        return xs
-            .iter()
-            .flat_map(|&x| {
-                protocols.iter().map(move |p| SweepCell {
-                    x,
-                    protocol: p.name().to_string(),
-                    reports: Vec::new(),
-                })
-            })
-            .collect();
-    }
-    crate::Experiment::new(*base)
-        .protocol_kinds(protocols)
-        .sweep_with(xs.to_vec(), configure)
-        .reps(reps)
-        .run()
-}
-
 /// Summarise sweep cells into one [`Series`] per protocol for the given metric.
 pub fn to_series(cells: &[SweepCell], metric: Metric) -> Vec<Series> {
     let mut labels: Vec<String> = Vec::new();
@@ -185,6 +146,8 @@ pub fn to_series(cells: &[SweepCell], metric: Metric) -> Vec<Series> {
 mod tests {
     use super::*;
     use crate::runner::run_protocol;
+    use crate::scenario::{ProtocolKind, Scenario};
+    use crate::Experiment;
     use ssmcast_core::MetricKind;
 
     #[test]
@@ -218,22 +181,17 @@ mod tests {
     }
 
     #[test]
-    fn zero_repetitions_runs_nothing_but_keeps_the_grid_shape() {
-        let base = Scenario::quick_test();
-        let protocols = [ProtocolKind::Flooding, ProtocolKind::Odmrp];
-        let cells = sweep(&base, &[1.0, 5.0], &protocols, 0, |s, v| s.max_speed_mps = v);
-        assert_eq!(cells.len(), 4);
-        assert!(cells.iter().all(|c| c.reports.is_empty()));
-    }
-
-    #[test]
     fn sweep_produces_one_cell_per_x_and_protocol() {
         let mut base = Scenario::quick_test();
         base.duration_s = 20.0;
         base.n_nodes = 12;
         base.group_size = 5;
         let protocols = [ProtocolKind::SsSpst(MetricKind::Hop), ProtocolKind::Flooding];
-        let cells = sweep(&base, &[1.0, 10.0], &protocols, 1, |s, v| s.max_speed_mps = v);
+        let cells = Experiment::new(base)
+            .protocol_kinds(&protocols)
+            .sweep_with([1.0, 10.0], |s, v| s.max_speed_mps = v)
+            .reps(1)
+            .run();
         assert_eq!(cells.len(), 4);
         assert!(cells.iter().all(|c| c.reports.len() == 1));
         let series = to_series(&cells, Metric::Pdr);

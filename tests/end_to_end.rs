@@ -37,8 +37,6 @@ fn grid_setup(kind_members: &[GroupRole]) -> (SimSetup, Vec<BoxedMobility>) {
         traffic,
         kind_members.to_vec(),
         f64::INFINITY,
-        SimDuration::from_secs(1),
-        0.95,
         SeedSequence::new(2024),
         MediumConfig::default(),
         FaultPlan::new(),

@@ -3,9 +3,8 @@
 //! with streaming sinks, and equivalence with directly seeded `run_protocol` calls.
 
 use ssmcast::scenario::{
-    derive_cell_seed, run_protocol, sweep, CsvStreamSink, Experiment, FigureId, MemorySink,
-    MobilityKind, ProgressSink, ProtocolKind, ProtocolRegistry, RunSink, Scenario, SweptParameter,
-    TeeSink,
+    derive_cell_seed, run_protocol, CsvStreamSink, Experiment, FigureId, MemorySink, MobilityKind,
+    ProgressSink, ProtocolKind, ProtocolRegistry, RunSink, Scenario, SweptParameter, TeeSink,
 };
 
 fn small_base() -> Scenario {
@@ -30,12 +29,16 @@ fn registry_names_round_trip_for_every_builtin() {
 
 #[test]
 fn sweep_grid_shape_and_seeding_match_directly_seeded_runs() {
-    // `sweep` delegates to `Experiment`; each cell must equal a directly-run scenario
-    // with the documented `derive_cell_seed`, pinned here against `run_protocol`.
+    // Each `Experiment` cell must equal a directly-run scenario with the documented
+    // `derive_cell_seed`, pinned here against `run_protocol`.
     let base = small_base();
     let xs = [1.0, 10.0];
     let protocols = [ProtocolKind::Flooding, ProtocolKind::Odmrp];
-    let grid = sweep(&base, &xs, &protocols, 2, |s, v| s.max_speed_mps = v);
+    let grid = Experiment::new(base)
+        .protocol_kinds(&protocols)
+        .sweep_with(xs, |s, v| s.max_speed_mps = v)
+        .reps(2)
+        .run();
     assert_eq!(grid.len(), 4);
     for (i, cell) in grid.iter().enumerate() {
         let (xi, pi) = (i / protocols.len(), i % protocols.len());

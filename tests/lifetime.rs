@@ -173,8 +173,6 @@ fn dead_nodes_never_transmit_receive_or_appear_alive() {
         traffic,
         roles,
         2.0, // joules: a couple of seconds of flooding
-        SimDuration::from_secs(1),
-        0.95,
         SeedSequence::new(99),
         MediumConfig::default(),
         FaultPlan::new(),

@@ -85,8 +85,7 @@ fn unavailability_matches_when_the_window_ledger_stays_uncoarsened() {
 fn histogram_quantiles_sit_within_one_bin_of_exact_order_statistics() {
     // Known delays, one fresh delivery each, plus late duplicate copies that must not be
     // binned: they would drag the maximum and the upper quantiles out to 900 ms.
-    let window = SimDuration::from_secs(1);
-    let mut tr = Trace::with_config(window, &MetricsConfig::streaming());
+    let mut tr = Trace::with_config(&MetricsConfig::streaming());
     let mut delays_ns = Vec::new();
     let mut state = 7u64;
     for seq in 0..400u64 {
@@ -102,7 +101,7 @@ fn histogram_quantiles_sit_within_one_bin_of_exact_order_statistics() {
         }
     }
     delays_ns.sort_unstable();
-    let r = tr.finish("p", SimDuration::from_secs(100), 0.0, 0.0, 0, 512, 0.95);
+    let r = tr.finish("p", SimDuration::from_secs(100), 0.0, 0.0, 0, 512);
     assert_eq!((r.delivered, r.duplicate_deliveries), (400, 100));
     let block = r.streaming.expect("streaming run attaches the block");
     assert_eq!(block.latency_overflow, 0);
@@ -159,9 +158,8 @@ fn streaming_trace_memory_is_at_least_10x_below_exact_on_long_horizons() {
     // A week-long telemetry session in miniature: 50 000 packets, three receivers each.
     // Exact mode retains one map entry per packet and one set entry per delivery;
     // streaming holds the same story in fixed-budget sketches.
-    let window = SimDuration::from_secs(1);
-    let mut exact = Trace::new(window);
-    let mut streaming = Trace::with_config(window, &MetricsConfig::streaming());
+    let mut exact = Trace::new();
+    let mut streaming = Trace::with_config(&MetricsConfig::streaming());
     for seq in 0..50_000u64 {
         let t = SimTime::from_secs_f64(seq as f64 * 0.5);
         let tag = DataTag { group: GroupId(0), origin: NodeId(0), seq, created_at: t };
