@@ -82,7 +82,7 @@ pub use mobility::{
 pub use node::{GroupId, GroupRole, NodeId};
 pub use packet::{DataTag, Packet, PacketClass};
 pub use report::{GroupAccounting, SimReport, Trace};
-pub use runtime::{NetEvent, NetworkSim, PendingFrame, SimSetup};
+pub use runtime::{Delivery, NetEvent, NetworkSim, PendingFrame, SimSetup};
 pub use session::{MembershipChange, MembershipEvent, SessionSetup};
 pub use silence::SilenceConfig;
 pub use snapshot::TopologySnapshot;

@@ -132,26 +132,10 @@ impl SimSetup {
 /// Events flowing through the network simulation, on either engine.
 #[derive(Debug)]
 pub enum NetEvent<P> {
-    /// A packet copy arrives at `rx`. `corrupted` receptions still cost energy but are not
-    /// handed to the protocol.
-    Deliver {
-        /// Session whose protocol instances this frame belongs to.
-        session: u16,
-        /// Receiving node.
-        rx: NodeId,
-        /// The frame.
-        packet: Packet<P>,
-        /// Lost when the frame left the sender: to channel noise and, on the sequential
-        /// engine (which evaluates carrier capture at send time), to collision.
-        corrupted: bool,
-        /// Transmission start (drives carrier capture and TDMA slot learning at the
-        /// receiver).
-        tx_start: SimTime,
-        /// MAC state snapshotted at transmit time
-        /// ([`crate::mac::MacPolicy::piggyback_row`]) and
-        /// shared by every copy of the frame — TDMA's 2-hop claim table.
-        piggyback: Option<std::sync::Arc<[u16]>>,
-    },
+    /// One transmission arrives at its receivers: one queue entry per transmission and
+    /// destination queue, boxed so every other event stays small. Each receiver still
+    /// counts as one processed event.
+    Deliver(Box<Delivery<P>>),
     /// A protocol timer fires at `node`.
     Timer {
         /// Session whose instance armed the timer.
@@ -189,7 +173,30 @@ pub enum NetEvent<P> {
         node: NodeId,
     },
     /// The MAC policy deferred a pending broadcast: retry channel access now.
-    MacRetry(PendingFrame<P>),
+    MacRetry(Box<PendingFrame<P>>),
+}
+
+/// One frame on its way to the receivers one event queue serves. The sequential engine
+/// queues one per transmission; the sharded engine splits it into one per destination
+/// shard.
+#[derive(Debug)]
+pub struct Delivery<P> {
+    /// Session whose protocol instances this frame belongs to.
+    pub session: u16,
+    /// Transmission start (drives carrier capture and TDMA slot learning at the
+    /// receivers).
+    pub tx_start: SimTime,
+    /// MAC state snapshotted at transmit time ([`crate::mac::MacPolicy::piggyback_row`])
+    /// and shared by every receiver of the frame — TDMA's 2-hop claim table.
+    pub piggyback: Option<std::sync::Arc<[u16]>>,
+    /// The frame, shared by every receiver.
+    pub packet: Packet<P>,
+    /// The receivers, in ascending node-id order, each with its send-time verdict:
+    /// `true` when the frame was lost as it left the sender, to channel noise and, on
+    /// the sequential engine (which evaluates carrier capture at send time), to
+    /// collision. Corrupted receptions still cost energy but are not handed to the
+    /// protocol.
+    pub to: Vec<(NodeId, bool)>,
 }
 
 /// A broadcast on its way through the MAC: requested by a protocol, not yet on the air.
@@ -227,6 +234,9 @@ pub struct NetworkSim<A: ProtocolAgent> {
     core: NodeCore<A>,
     curves: Curves,
     probe: ProbeScratch,
+    /// Node events the sequential loop has processed: one per receiver of a delivery,
+    /// one per other event.
+    events: u64,
 }
 
 /// The sequential engine's seam: one simulator queue in insertion order, the live radio
@@ -267,8 +277,8 @@ impl<'a, P> Seam<'a, P> for Sequential<'a, P> {
         self.sim.cancel(id);
     }
 
-    fn deliver(&mut self, at: SimTime, _key: Key, _rx: NodeId, ev: NetEvent<P>) {
-        self.sim.schedule_at(at, ev);
+    fn deliver(&mut self, at: SimTime, _tx: u64, delivery: Box<Delivery<P>>) {
+        self.sim.schedule_at(at, NetEvent::Deliver(delivery));
     }
 
     fn position(&mut self, node: NodeId, t: SimTime) -> Vec2 {
@@ -339,6 +349,7 @@ impl<A: ProtocolAgent> NetworkSim<A> {
             ),
             curves: Curves::new(&setup),
             probe: ProbeScratch::default(),
+            events: 0,
             core,
             setup,
         }
@@ -349,7 +360,7 @@ impl<A: ProtocolAgent> NetworkSim<A> {
     fn parts(
         &mut self,
     ) -> (&mut NodeCore<A>, Sequential<'_, A::Payload>, &mut ProbeScratch, &mut Curves) {
-        let NetworkSim { sim, setup, medium, harvest, core, curves, probe } = self;
+        let NetworkSim { sim, setup, medium, harvest, core, curves, probe, .. } = self;
         (core, Sequential { sim, medium, setup, harvest }, probe, curves)
     }
 
@@ -374,9 +385,10 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         &self.core.agents[self.idx(session, n)]
     }
 
-    /// Total number of events processed so far.
+    /// Total number of events the sequential engine has processed so far, counting each
+    /// receiver of a delivery as one event.
     pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
+        self.events
     }
 
     /// The instant node `n`'s battery was observed depleted, if it is currently dead.
@@ -564,8 +576,9 @@ impl<A: ProtocolAgent> NetworkSim<A> {
                                     observe(&mut [(core, s)], scratch, t, observer, Some(&kind));
                                 }
                             }
+                            self.events += 1;
                         }
-                        other => core.dispatch(&mut s, t, other),
+                        other => self.events += core.dispatch(&mut s, t, other),
                     }
                 }
                 _ => {
@@ -591,7 +604,7 @@ impl<A: ProtocolAgent> NetworkSim<A> {
         // energy histogram and total-energy figures describe the whole run.
         let (core, mut s, ..) = self.parts();
         core.accrue_all(&mut s, horizon);
-        let events = self.sim.events_processed();
+        let events = self.events;
         self.finish(duration, probe, || {
             EngineStats::from_counts(0, vec![events], peak_depth, 0, wall.elapsed().as_secs_f64())
         })
@@ -774,6 +787,9 @@ mod tests {
         let mut sim = NetworkSim::new(setup, mobility, agents);
         let report = sim.run(SimDuration::from_secs(20));
         assert!(report.generated > 100, "CBR source must generate packets");
+        // Every receiver of a transmission counts as one event, although the receivers
+        // share one queue entry.
+        assert_eq!(sim.events_processed(), 1099);
         assert_eq!(report.expected_deliveries, report.generated * 3);
         assert!(
             (report.pdr - 1.0).abs() < 1e-9,
@@ -784,6 +800,98 @@ mod tests {
         assert!(report.total_energy_j > 0.0);
         assert!(report.unavailability_ratio < 1e-9);
         assert!(report.groups.is_none(), "single static session: no per-group breakdown");
+    }
+
+    /// Loss-free, collision-free, jitter-free physics on a static line: the regime in
+    /// which the sharded engine's reports equal the sequential engine's byte for byte.
+    fn exact_line_setup(n: usize, spacing: f64) -> (SimSetup, Vec<BoxedMobility>) {
+        let (mut setup, mobility) = line_setup(n, spacing);
+        setup.radio.mac_backoff_max = SimDuration::ZERO;
+        (setup, mobility)
+    }
+
+    #[test]
+    fn a_zero_delay_timer_fires_after_every_receiver_of_its_transmission() {
+        use std::sync::{Arc, Mutex};
+        type Log = Arc<Mutex<Vec<(SimTime, &'static str, NodeId)>>>;
+        /// Logs every callback; each reception arms a zero-delay timer and nothing is
+        /// ever rebroadcast, so every arrival instant carries one transmission.
+        struct Logger(Log);
+        impl ProtocolAgent for Logger {
+            type Payload = ();
+            fn start(&mut self, _ctx: &mut NodeCtx<'_, ()>) {}
+            fn on_packet(
+                &mut self,
+                ctx: &mut NodeCtx<'_, ()>,
+                _packet: &Packet<()>,
+            ) -> Disposition {
+                self.0.lock().unwrap().push((ctx.now, "packet", ctx.id));
+                ctx.set_timer(SimDuration::ZERO, 0, 0);
+                Disposition::Consumed
+            }
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_, ()>, _kind: u64, _key: u64) {
+                self.0.lock().unwrap().push((ctx.now, "timer", ctx.id));
+            }
+            fn on_app_data(&mut self, ctx: &mut NodeCtx<'_, ()>, tag: DataTag, size: u32) {
+                ctx.broadcast_data(size, ctx.radio.max_range_m, tag, ());
+            }
+            fn label(&self) -> &'static str {
+                "logger"
+            }
+        }
+        for engine in [EngineConfig::default(), EngineConfig::sharded(1)] {
+            // Nodes 1..=3 all hear the source at 0 m.
+            let (mut setup, mobility) = exact_line_setup(4, 50.0);
+            setup.engine = engine;
+            let log: Log = Arc::default();
+            let agents = (0..4).map(|_| Logger(Arc::clone(&log))).collect();
+            let mut sim = NetworkSim::new(setup, mobility, agents);
+            sim.run(SimDuration::from_secs(3));
+            let log = log.lock().unwrap();
+            assert!(log.len() > 6, "the source transmitted at least once: {engine:?}");
+            for arrival in log.chunks(6) {
+                let t = arrival[0].0;
+                let expected: Vec<_> = ["packet", "timer"]
+                    .into_iter()
+                    .flat_map(|kind| (1..4).map(move |i| (t, kind, NodeId(i))))
+                    .collect();
+                assert_eq!(arrival, &expected[..], "{engine:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn boxed_deliveries_and_retries_keep_every_queue_entry_small() {
+        // A harvest run keeps thousands of wakes pending: an unboxed frame variant would
+        // size every one of them like a frame.
+        assert!(std::mem::size_of::<NetEvent<()>>() <= 4 * std::mem::size_of::<u64>());
+    }
+
+    #[test]
+    fn a_transmission_split_across_two_shards_counts_and_reports_like_the_sequential_run() {
+        // Stripes are {0, 1} and {2, 3}; the source at node 0 reaches nodes 1 and 2, so
+        // its every transmission is split at the stripe boundary.
+        let run = |engine: EngineConfig| {
+            let (mut setup, mobility) = exact_line_setup(4, 100.0);
+            setup.engine = engine;
+            let agents = (0..4).map(|_| Flood::new()).collect();
+            let mut sim = NetworkSim::new(setup, mobility, agents);
+            let report = sim.run(SimDuration::from_secs(15));
+            (report, sim.events_processed())
+        };
+        let (sequential, events) = run(EngineConfig::default());
+        let (mut sharded, _) = run(EngineConfig::sharded(2).with_stats());
+        let stats = sharded.engine.take().expect("stats-on runs attach the engine block");
+        assert_eq!(stats.shard_event_counts.len(), 2);
+        assert!(stats.shard_event_counts.iter().all(|&c| c > 0), "both shards receive");
+        assert_eq!(stats.shard_event_counts.iter().sum::<u64>(), events);
+        let json = |report: &SimReport| {
+            use serde::Serialize;
+            let mut out = String::new();
+            report.serialize_json(&mut out);
+            out
+        };
+        assert_eq!(json(&sequential), json(&sharded));
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! which answers the five questions on which the engines differ:
 //!
 //! 1. Where a new event goes: into the simulator in insertion order, or into a keyed
-//!    shard queue or cross-shard lane ([`Seam::schedule`], [`Seam::deliver`]).
+//!    shard queue or cross-shard lane ([`Seam::schedule`]). A transmission reaches its
+//!    receivers as one [`Delivery`]: the sequential engine queues it whole, the sharded
+//!    one splits it into one delivery per destination shard ([`Seam::deliver`]).
 //! 2. Which RNG the MAC and the loss draw use: the global `"channel-loss"` stream, or
 //!    the sender's own `"shard-loss"` stream ([`Seam::PER_SENDER_LOSS`]).
 //! 3. Where positions, blackouts and receiver discs come from: the live radio medium,
@@ -26,7 +28,7 @@
 //! phases live in every core and are refreshed by [`observe`] after each observer
 //! notification, so they need no seam.
 
-use super::{NetEvent, PendingFrame, SimSetup};
+use super::{Delivery, NetEvent, PendingFrame, SimSetup};
 use crate::agent::{Action, Disposition, NodeCtx, ProtocolAgent};
 use crate::battery::{Battery, EnergyUse};
 use crate::channel::Channel;
@@ -58,7 +60,7 @@ pub(super) const RANK_FAULT: u8 = 0;
 pub(super) const RANK_MEMBERSHIP: u8 = 1;
 pub(super) const RANK_APPSEND: u8 = 2;
 const RANK_TIMER: u8 = 3;
-const RANK_DELIVER: u8 = 4;
+pub(super) const RANK_DELIVER: u8 = 4;
 const RANK_MACRETRY: u8 = 5;
 const RANK_HARVEST: u8 = 6;
 
@@ -88,8 +90,12 @@ pub(super) trait Seam<'a, P> {
     fn schedule(&mut self, at: SimTime, key: Key, ev: NetEvent<P>) -> EventId;
     /// Cancel a pending event returned by [`Self::schedule`].
     fn cancel(&mut self, id: EventId);
-    /// Schedule a delivery at receiver `rx`, which another core may own.
-    fn deliver(&mut self, at: SimTime, key: Key, rx: NodeId, ev: NetEvent<P>);
+    /// Schedule transmission `tx` of the delivery's sender to arrive at `at` at every
+    /// receiver in `delivery.to`; other cores may own some of them. A keyed queue keys
+    /// each entry `(RANK_DELIVER, sender, tx, first receiver, 0)`: no other key sorts
+    /// between the receivers of one transmission, so the entry pops where its first
+    /// receiver's own entry would.
+    fn deliver(&mut self, at: SimTime, tx: u64, delivery: Box<Delivery<P>>);
 
     /// Position of `node` at `t`.
     fn position(&mut self, node: NodeId, t: SimTime) -> Vec2;
@@ -201,6 +207,8 @@ pub(super) struct NodeCore<A: ProtocolAgent> {
     timers: HashMap<(u32, u16, u64, u64), EventId>,
     scratch_actions: Vec<Action<A::Payload>>,
     scratch_receivers: Vec<NodeId>,
+    /// The receivers duty-aware pricing charges for: those awake at the delivery instant.
+    scratch_priced: Vec<NodeId>,
     /// Per-session recovery flag, refreshed from the observer by [`observe`]; drives
     /// the steady-vs-recovery control-byte split. All-false (and the buckets below
     /// unused) when beacon suppression is off.
@@ -258,6 +266,7 @@ impl<A: ProtocolAgent> NodeCore<A> {
             timers: HashMap::new(),
             scratch_actions: Vec::with_capacity(16),
             scratch_receivers: Vec::with_capacity(16),
+            scratch_priced: Vec::new(),
             recovering: vec![false; n_sessions],
             silence_steady: vec![(0, 0); n_sessions],
             silence_recovery: vec![(0, 0); n_sessions],
@@ -584,7 +593,7 @@ impl<A: ProtocolAgent> NodeCore<A> {
                 self.mac_seq[li] += 1;
                 let key = (RANK_MACRETRY, u64::from(sender.0), seq, 0, 0);
                 let retry = PendingFrame { range_m: range, attempt: frame.attempt + 1, ..frame };
-                s.schedule(until.max(t), key, NetEvent::MacRetry(retry));
+                s.schedule(until.max(t), key, NetEvent::MacRetry(Box::new(retry)));
                 return;
             }
             MacDecision::Transmit { at } => at.max(t),
@@ -610,12 +619,11 @@ impl<A: ProtocolAgent> NodeCore<A> {
             // would drop the frame anyway) leave the pricing set. The receiver set,
             // delays and loss draws are never affected — only the priced range.
             if lc.duty_aware_pricing && self.duty.is_on() {
-                let priced: Vec<NodeId> = receivers
-                    .iter()
-                    .copied()
-                    .filter(|&rx| self.duty.is_awake(rx, delivery_at))
-                    .collect();
-                s.farthest_distance(sender_pos, &priced, t).min(range)
+                let duty = &self.duty;
+                self.scratch_priced.clear();
+                self.scratch_priced
+                    .extend(receivers.iter().filter(|&&rx| duty.is_awake(rx, delivery_at)));
+                s.farthest_distance(sender_pos, &self.scratch_priced, t).min(range)
             } else {
                 s.farthest_distance(sender_pos, &receivers, t).min(range)
             }
@@ -633,6 +641,7 @@ impl<A: ProtocolAgent> NodeCore<A> {
         let piggyback: Option<Arc<[u16]>> = self.mac.piggyback_row(sender, class).map(Arc::from);
         // Receivers come back in ascending node-id order regardless of query mode, so
         // the per-receiver draws below consume the loss stream in a fixed sequence.
+        let mut to = Vec::with_capacity(receivers.len());
         for &rx in &receivers {
             let mut corrupted = false;
             if !S::CAPTURE_AT_DELIVERY {
@@ -643,96 +652,38 @@ impl<A: ProtocolAgent> NodeCore<A> {
                     && !self.channel.try_receive(frame.session, rx, tx_start, tx_end);
             }
             corrupted |= self.loss_rngs[loss].gen::<f64>() < radio.loss_probability;
-            let packet = Packet {
-                sender,
-                class,
-                size_bytes,
-                data: frame.data,
-                payload: frame.payload.clone(),
-            };
-            let ev = NetEvent::Deliver {
-                session: frame.session,
-                rx,
-                packet,
-                corrupted,
-                tx_start,
-                piggyback: piggyback.clone(),
-            };
-            s.deliver(
-                delivery_at,
-                (RANK_DELIVER, u64::from(sender.0), tx, u64::from(rx.0), 0),
-                rx,
-                ev,
-            );
+            to.push((rx, corrupted));
         }
         self.scratch_receivers = receivers;
+        if to.is_empty() {
+            return;
+        }
+        let packet = Packet { sender, class, size_bytes, data: frame.data, payload: frame.payload };
+        let delivery = Delivery { session: frame.session, tx_start, piggyback, packet, to };
+        s.deliver(delivery_at, tx, Box::new(delivery));
     }
 
-    /// Process one event.
+    /// Process one queue entry and return how many node events it held: one per
+    /// receiver of a delivery, one for any other event.
     pub(super) fn dispatch<'a, S: Seam<'a, A::Payload>>(
         &mut self,
         s: &mut S,
         t: SimTime,
         ev: NetEvent<A::Payload>,
-    ) {
+    ) -> u64 {
         match ev {
-            NetEvent::Deliver { session, rx, packet, mut corrupted, tx_start, piggyback } => {
-                let li = s.local(rx);
-                self.accrue_idle(s, li, t);
-                if self.batteries[li].is_depleted() {
-                    return;
+            NetEvent::Deliver(delivery) => {
+                for &(rx, corrupted) in &delivery.to {
+                    self.receive(s, t, &delivery, rx, corrupted);
                 }
-                let radio = &s.setup().radio;
-                if S::CAPTURE_AT_DELIVERY && radio.collisions_enabled {
-                    // The frame occupies a crashed, blacked-out or sleeping receiver's
-                    // air regardless, just as when capture is evaluated at send time.
-                    let tx_end = tx_start + radio.tx_duration(packet.size_bytes);
-                    corrupted |= !self.channel.try_receive(session, rx, tx_start, tx_end);
-                }
-                // A crashed radio hears nothing, a frame already in flight when a
-                // blackout started is lost too, and a sleeping radio misses the frame
-                // entirely: no reception, no reception energy — the delivery cost of
-                // duty cycling.
-                if self.crashed[li] || s.is_blacked_out(rx, t) || !self.duty.is_awake(rx, t) {
-                    return;
-                }
-                let session = usize::from(session);
-                let rx_energy = radio.energy.rx_energy(packet.size_bytes);
-                let slot = self.energy_slot::<S>(session, li);
-                if corrupted {
-                    let accepted = self.batteries[li].accept(rx_energy, EnergyUse::Overhear);
-                    self.note_death(s, li, t);
-                    self.energy[slot] += accepted;
-                    self.overhear[slot] += accepted;
-                    return;
-                }
-                // A clean reception teaches the MAC: TDMA learns the sender's slot
-                // (and, on control frames, its piggybacked claim table) exclusively
-                // through this call, at arrival.
-                let p = &packet;
-                self.mac.on_overheard(rx, p.sender, p.class, tx_start, piggyback.as_deref());
-                let mut disposition = Disposition::Discarded;
-                self.make_ctx_and_call(s, session, rx, t, |agent, ctx| {
-                    disposition = agent.on_packet(ctx, &packet);
-                });
-                let usage = match (disposition, packet.class) {
-                    (Disposition::Discarded, _) => EnergyUse::Overhear,
-                    (Disposition::Consumed, PacketClass::Control) => EnergyUse::RxControl,
-                    (Disposition::Consumed, PacketClass::Data) => EnergyUse::RxData,
-                };
-                let accepted = self.batteries[li].accept(rx_energy, usage);
-                self.note_death(s, li, t);
-                self.energy[slot] += accepted;
-                if usage == EnergyUse::Overhear {
-                    self.overhear[slot] += accepted;
-                }
+                return delivery.to.len() as u64;
             }
             NetEvent::Timer { session, node, kind, key } => {
                 self.timers.remove(&(node.0, session, kind, key));
                 let li = s.local(node);
                 self.accrue_idle(s, li, t);
                 if self.is_down(li) {
-                    return;
+                    return 1;
                 }
                 self.make_ctx_and_call(s, usize::from(session), node, t, |agent, ctx| {
                     agent.on_timer(ctx, kind, key);
@@ -742,7 +693,7 @@ impl<A: ProtocolAgent> NodeCore<A> {
                 let sn = usize::from(session);
                 let traffic = s.setup().sessions[sn].traffic;
                 if t >= traffic.stop {
-                    return;
+                    return 1;
                 }
                 let source = traffic.source;
                 let li = s.local(source);
@@ -778,14 +729,75 @@ impl<A: ProtocolAgent> NodeCore<A> {
                 self.accrue_idle(s, li, t);
                 let restored = self.batteries[li].recharge(s.harvest().wake_energy_j());
                 if restored <= 0.0 || self.batteries[li].is_depleted() {
-                    return; // nothing banked (or still short): stay dark forever
+                    return 1; // nothing banked (or still short): stay dark forever
                 }
                 self.death_at[li] = None;
                 if !self.crashed[li] {
                     self.restart(s, node, t);
                 }
             }
-            NetEvent::MacRetry(frame) => self.try_send(s, t, None, frame),
+            NetEvent::MacRetry(frame) => self.try_send(s, t, None, *frame),
+        }
+        1
+    }
+
+    /// One receiver's share of a delivery: its frame arrives at `rx` at `t`, `corrupted`
+    /// when it was already lost as it left the sender.
+    fn receive<'a, S: Seam<'a, A::Payload>>(
+        &mut self,
+        s: &mut S,
+        t: SimTime,
+        delivery: &Delivery<A::Payload>,
+        rx: NodeId,
+        mut corrupted: bool,
+    ) {
+        let Delivery { session, tx_start, ref piggyback, ref packet, .. } = *delivery;
+        let li = s.local(rx);
+        self.accrue_idle(s, li, t);
+        if self.batteries[li].is_depleted() {
+            return;
+        }
+        let radio = &s.setup().radio;
+        if S::CAPTURE_AT_DELIVERY && radio.collisions_enabled {
+            // The frame occupies a crashed, blacked-out or sleeping receiver's air
+            // regardless, just as when capture is evaluated at send time.
+            let tx_end = tx_start + radio.tx_duration(packet.size_bytes);
+            corrupted |= !self.channel.try_receive(session, rx, tx_start, tx_end);
+        }
+        // A crashed radio hears nothing, a frame already in flight when a blackout
+        // started is lost too, and a sleeping radio misses the frame entirely: no
+        // reception, no reception energy — the delivery cost of duty cycling.
+        if self.crashed[li] || s.is_blacked_out(rx, t) || !self.duty.is_awake(rx, t) {
+            return;
+        }
+        let session = usize::from(session);
+        let rx_energy = radio.energy.rx_energy(packet.size_bytes);
+        let slot = self.energy_slot::<S>(session, li);
+        if corrupted {
+            let accepted = self.batteries[li].accept(rx_energy, EnergyUse::Overhear);
+            self.note_death(s, li, t);
+            self.energy[slot] += accepted;
+            self.overhear[slot] += accepted;
+            return;
+        }
+        // A clean reception teaches the MAC: TDMA learns the sender's slot (and, on
+        // control frames, its piggybacked claim table) exclusively through this call, at
+        // arrival.
+        self.mac.on_overheard(rx, packet.sender, packet.class, tx_start, piggyback.as_deref());
+        let mut disposition = Disposition::Discarded;
+        self.make_ctx_and_call(s, session, rx, t, |agent, ctx| {
+            disposition = agent.on_packet(ctx, packet);
+        });
+        let usage = match (disposition, packet.class) {
+            (Disposition::Discarded, _) => EnergyUse::Overhear,
+            (Disposition::Consumed, PacketClass::Control) => EnergyUse::RxControl,
+            (Disposition::Consumed, PacketClass::Data) => EnergyUse::RxData,
+        };
+        let accepted = self.batteries[li].accept(rx_energy, usage);
+        self.note_death(s, li, t);
+        self.energy[slot] += accepted;
+        if usage == EnergyUse::Overhear {
+            self.overhear[slot] += accepted;
         }
     }
 

@@ -21,8 +21,10 @@
 //! global node order, which makes the floating-point sums partition-independent. On
 //! exact physics the reports equal the sequential engine's byte for byte.
 
-use super::semantics::{Key, NodeCore, Seam, RANK_APPSEND, RANK_FAULT, RANK_MEMBERSHIP};
-use super::{observe, NetEvent, NetworkSim, SimSetup};
+use super::semantics::{
+    Key, NodeCore, Seam, RANK_APPSEND, RANK_DELIVER, RANK_FAULT, RANK_MEMBERSHIP,
+};
+use super::{observe, Delivery, NetEvent, NetworkSim, SimSetup};
 use crate::agent::ProtocolAgent;
 use crate::engine::EngineConfig;
 use crate::faults::{FaultKind, StabilizationObserver};
@@ -161,15 +163,27 @@ impl<'a, A: ProtocolAgent> Seam<'a, A::Payload> for Sharded<'a, A> {
         self.queue.cancel(id);
     }
 
-    /// Deliveries to owned receivers go straight into this shard's queue; the rest
-    /// travel through lanes, and their time folds into this round's published minimum.
-    fn deliver(&mut self, at: SimTime, key: Key, rx: NodeId, ev: NetEvent<A::Payload>) {
-        let dst = self.shard(rx);
-        if dst == self.w {
-            self.queue.push(at, key, ev);
-        } else {
-            plock(&self.shared.lanes[dst][self.w]).push((at, key, ev));
-            *self.lane_min = (*self.lane_min).min(at.as_nanos());
+    /// The delivery splits into one per destination shard, each keeping its receivers
+    /// ascending; a transmission whose receivers all live on one shard stays whole.
+    fn deliver(&mut self, at: SimTime, tx: u64, delivery: Box<Delivery<A::Payload>>) {
+        let first = self.shard(delivery.to[0].0);
+        if delivery.to.iter().all(|&(rx, _)| self.shard(rx) == first) {
+            self.route(at, tx, first, delivery);
+            return;
+        }
+        let mut parts = vec![Vec::new(); self.shared.shards.len()];
+        for &(rx, corrupted) in &delivery.to {
+            parts[self.shard(rx)].push((rx, corrupted));
+        }
+        for (dst, to) in parts.into_iter().enumerate().filter(|(_, to)| !to.is_empty()) {
+            let part = Delivery {
+                session: delivery.session,
+                tx_start: delivery.tx_start,
+                piggyback: delivery.piggyback.clone(),
+                packet: delivery.packet.clone(),
+                to,
+            };
+            self.route(at, tx, dst, Box::new(part));
         }
     }
 
@@ -203,6 +217,22 @@ impl<'a, A: ProtocolAgent> Seam<'a, A::Payload> for Sharded<'a, A> {
 
     fn farthest_distance(&mut self, center: Vec2, ids: &[NodeId], _t: SimTime) -> f64 {
         ids.iter().map(|&id| self.fz.positions[id.index()].distance(&center)).fold(0.0, f64::max)
+    }
+}
+
+impl<A: ProtocolAgent> Sharded<'_, A> {
+    /// Queue one shard's part of transmission `tx`, keyed by its first receiver: into
+    /// this shard's queue, or into the lane to shard `dst`, whose time then folds into
+    /// this round's published minimum.
+    fn route(&mut self, at: SimTime, tx: u64, dst: usize, part: Box<Delivery<A::Payload>>) {
+        let (sender, first) = (part.packet.sender, part.to[0].0);
+        let key = (RANK_DELIVER, u64::from(sender.0), tx, u64::from(first.0), 0);
+        if dst == self.w {
+            self.queue.push(at, key, NetEvent::Deliver(part));
+        } else {
+            plock(&self.shared.lanes[dst][self.w]).push((at, key, NetEvent::Deliver(part)));
+            *self.lane_min = (*self.lane_min).min(at.as_nanos());
+        }
     }
 }
 
@@ -251,9 +281,8 @@ fn run_window<A: ProtocolAgent>(w: usize, shared: &Shared<A>, cx: &Ctx<'_>, end:
     while let Some(t) = st.queue.peek_time().filter(|&t| t <= end) {
         st.peak_depth = st.peak_depth.max(st.queue.len() as u64);
         let (_, _key, ev) = st.queue.pop().expect("peeked event must pop");
-        st.events_processed += 1;
         let (core, mut seam) = st.parts(&fz, cx, shared, w);
-        core.dispatch(&mut seam, t, ev);
+        st.events_processed += core.dispatch(&mut seam, t, ev);
     }
     drop(fz);
     shared.mins[w].store(st.pending_min(), Ordering::Release);

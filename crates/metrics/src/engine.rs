@@ -15,12 +15,15 @@ use serde::{Deserialize, Serialize};
 pub struct EngineStats {
     /// Shard (worker-thread) count; 0 for the sequential engine.
     pub shards: u32,
-    /// Events processed across all shards.
+    /// Events processed across all shards. Each receiver of a delivery counts as one
+    /// event, although a transmission's receivers share one queue entry per queue.
     pub events_processed: u64,
     /// Events processed per wall-clock second (0 when the run took no measurable time).
     /// Wall-clock derived: reproducible runs still report different rates.
     pub events_per_sec: f64,
-    /// Largest pending-event count observed in any single queue.
+    /// Largest number of queue entries observed pending in any single queue. A
+    /// transmission is one entry per destination queue, however many receivers it has,
+    /// so this counts entries, not the node events they hold.
     pub peak_queue_depth: u64,
     /// Events processed by each shard (one entry, index 0, for the sequential engine).
     pub shard_event_counts: Vec<u64>,
