@@ -1,65 +1,80 @@
-//! Seeded-determinism guarantees of the radio medium layer: the grid-indexed broadcast
-//! path must reproduce the brute-force scan *byte for byte* for the same seeds, because
-//! both modes share one epoch-cached position buffer, the same `distance² ≤ r²`
-//! neighbour predicate, and NodeId-sorted receiver iteration (so every `loss_rng` draw
-//! lands on the same receiver in the same order).
+//! Regression guard for the radio medium's grid-indexed path. At a non-zero position
+//! epoch `RadioMedium::receivers_within` answers from the spatial grid index, so these
+//! runs — Flooding at three epochs, two tree/mesh protocols and every mobility model —
+//! must serialize byte for byte to the golden file. (At the default zero epoch the
+//! medium scans every node; the other goldens pin that path.)
 
+use ssmcast::core::MetricKind;
 use ssmcast::dessim::SimDuration;
-use ssmcast::manet::{MediumConfig, SimReport};
+use ssmcast::manet::{MediumConfig, NeighborQuery};
 use ssmcast::scenario::{run_protocol, MobilityKind, ProtocolKind, Scenario};
 
-fn run_with(base: &Scenario, medium: MediumConfig, kind: ProtocolKind) -> SimReport {
-    let mut s = *base;
-    s.medium = medium;
-    run_protocol(&s, kind.to_protocol().as_ref())
-}
+/// One golden line: a label for failure messages, the scenario and the protocol.
+fn cases() -> Vec<(String, Scenario, ProtocolKind)> {
+    let epoch = |ms: u64| MediumConfig::grid().with_epoch(SimDuration::from_millis(ms));
+    let mut cases = Vec::new();
 
-/// The acceptance scenario: a preset (quick-test) mobile scenario, several protocols,
-/// identical reports for grid vs brute force.
-#[test]
-fn grid_and_brute_force_paths_produce_identical_reports() {
-    let mut s = Scenario::quick_test();
-    s.duration_s = 40.0;
-    for kind in [
-        ProtocolKind::Flooding,
-        ProtocolKind::SsSpst(ssmcast::core::MetricKind::EnergyAware),
-        ProtocolKind::Odmrp,
-    ] {
-        let grid = run_with(&s, MediumConfig::grid(), kind);
-        let brute = run_with(&s, MediumConfig::brute_force(), kind);
-        assert!(grid.generated > 100, "{}: CBR must generate traffic", kind.name());
-        assert_eq!(grid, brute, "{}: query mode changed a seeded result", kind.name());
+    let mut fast = Scenario::quick_test();
+    fast.duration_s = 40.0;
+    fast.max_speed_mps = 10.0;
+    for ms in [50, 250, 1_000] {
+        cases.push((
+            format!("Flooding @ {ms} ms"),
+            fast.with_medium(epoch(ms)),
+            ProtocolKind::Flooding,
+        ));
     }
-}
 
-/// The epoch knob changes physics (positions quantise to epoch starts) but never breaks
-/// the cross-mode guarantee: for any epoch, grid and brute force still agree exactly.
-#[test]
-fn epoch_cached_positions_keep_query_modes_in_lockstep() {
-    let mut s = Scenario::quick_test();
-    s.duration_s = 40.0;
-    s.max_speed_mps = 10.0;
-    let kind = ProtocolKind::Flooding;
-    for epoch_ms in [50u64, 250, 1_000] {
-        let epoch = SimDuration::from_millis(epoch_ms);
-        let grid = run_with(&s, MediumConfig::grid().with_epoch(epoch), kind);
-        let brute = run_with(&s, MediumConfig::brute_force().with_epoch(epoch), kind);
-        assert_eq!(grid, brute, "epoch {epoch_ms} ms: query mode changed a seeded result");
+    let mut base = Scenario::quick_test();
+    base.duration_s = 40.0;
+    for kind in [ProtocolKind::SsSpst(MetricKind::EnergyAware), ProtocolKind::Odmrp] {
+        cases.push((format!("{} @ 250 ms", kind.name()), base.with_medium(epoch(250)), kind));
     }
-}
 
-/// The guarantee holds across mobility plugins (waypoint, Gauss–Markov, static grid),
-/// since all of them are read through the same position cache.
-#[test]
-fn every_mobility_kind_agrees_across_query_modes() {
-    let mut s = Scenario::quick_test();
-    s.duration_s = 30.0;
-    s.n_nodes = 20;
-    s.group_size = 8;
+    let mut small = Scenario::quick_test();
+    small.duration_s = 30.0;
+    small.n_nodes = 20;
+    small.group_size = 8;
     for mobility in MobilityKind::ALL {
-        let base = s.with_mobility(mobility);
-        let grid = run_with(&base, MediumConfig::grid(), ProtocolKind::Flooding);
-        let brute = run_with(&base, MediumConfig::brute_force(), ProtocolKind::Flooding);
-        assert_eq!(grid, brute, "{}: query mode changed a seeded result", mobility.name());
+        let s = small.with_mobility(mobility).with_medium(epoch(250));
+        cases.push((format!("Flooding/{} @ 250 ms", mobility.name()), s, ProtocolKind::Flooding));
+    }
+    cases
+}
+
+fn rendered(query: NeighborQuery) -> String {
+    let mut out = String::new();
+    for (_, mut s, kind) in cases() {
+        s.medium.neighbor_query = query;
+        let report = run_protocol(&s, kind.to_protocol().as_ref());
+        assert!(report.generated > 100, "CBR must generate traffic");
+        out.push_str(&serde_json::to_string(&report).expect("reports serialize"));
+        out.push('\n');
+    }
+    out
+}
+
+#[test]
+fn epoch_reports_match_the_golden_bytes() {
+    let golden = include_str!("golden/medium_epoch_reports.jsonl");
+    let now = rendered(NeighborQuery::Grid);
+    assert_eq!(now, rendered(NeighborQuery::BruteForce), "query mode changed a seeded result");
+    for ((label, _, _), (g, n)) in cases().iter().zip(golden.lines().zip(now.lines())) {
+        assert_eq!(g, n, "{label}: report diverged from the golden bytes");
+    }
+    assert_eq!(golden, now);
+}
+
+/// Regenerate the golden file (run manually: `GOLDEN_WRITE=1 cargo test --test
+/// medium_determinism -- --ignored golden_write`).
+#[test]
+#[ignore]
+fn golden_write() {
+    if std::env::var("GOLDEN_WRITE").is_ok() {
+        std::fs::write(
+            concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/medium_epoch_reports.jsonl"),
+            rendered(NeighborQuery::Grid),
+        )
+        .unwrap();
     }
 }
