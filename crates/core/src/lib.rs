@@ -42,7 +42,7 @@ pub mod tree;
 pub use agent::{SsSpstAgent, SsSpstConfig, SsSpstPayload};
 pub use beacon::Beacon;
 pub use graph::MulticastTopology;
-pub use metric::{cost_via, join_overhead, node_cost, MetricKind, MetricParams, ParentView};
+pub use metric::{join_overhead, node_cost, MetricKind, MetricParams};
 pub use min_energy::{min_energy_tree, tree_tx_power};
 pub use paper_example::{figure1_topology, run_all_examples, run_example, ExampleResult};
 pub use probe::{is_legitimate, legitimate_over, session_legitimate, StabilizationProbe};

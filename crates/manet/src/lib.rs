@@ -28,7 +28,8 @@
 //! * [`spatial`] — the uniform-grid [`spatial::SpatialIndex`] answering range queries in
 //!   O(k) candidates instead of O(n).
 //! * [`medium`] — the radio medium layer: [`medium::RadioMedium`] with epoch-cached
-//!   positions and pluggable (grid / brute-force) neighbour queries.
+//!   positions; receiver queries scan at a zero position epoch and use the grid index
+//!   otherwise.
 //! * [`snapshot`] — frozen connectivity graphs for the synchronous protocol model,
 //!   backed by the same spatial index.
 //! * [`traffic`] — CBR multicast workload.
@@ -74,7 +75,7 @@ pub use geometry::{Area, Vec2};
 pub use harvest::{HarvestConfig, HarvestPlan};
 pub use lifecycle::{DutyCycleConfig, DutySchedule, LifecycleConfig};
 pub use mac::{MacConfig, MacDecision, MacFrame, MacKind, MacPolicy};
-pub use medium::{MediumConfig, NeighborQuery, RadioMedium};
+pub use medium::{MediumConfig, RadioMedium};
 pub use mobility::{
     grid_positions, BoxedMobility, GaussMarkov, GaussMarkovConfig, Mobility, RandomWaypoint,
     Stationary, WaypointConfig,

@@ -1,23 +1,22 @@
-//! The radio medium: epoch-cached node positions plus indexed neighbour queries.
+//! The radio medium: epoch-cached node positions plus receiver queries over them.
 //!
-//! Before this layer existed, every broadcast in the runtime linearly scanned all `n`
-//! nodes and re-queried each node's mobility model per position read — O(n²) work per
-//! flooded packet. [`RadioMedium`] centralises both concerns:
+//! [`RadioMedium`] owns every node's mobility model and answers the runtime's questions
+//! about space:
 //!
-//! * a **position cache** that evaluates each mobility model at most once per
-//!   *position epoch* (a configurable quantum; [`SimDuration::ZERO`] means exact
-//!   per-event positions), and
-//! * a uniform-grid [`SpatialIndex`] (cell side = maximum radio range) answering
-//!   "who is within `r` of this point?" by inspecting only the overlapping cells.
+//! * a **position cache** evaluates each mobility model at most once per *position
+//!   epoch* (a configurable quantum; [`SimDuration::ZERO`] means exact per-event
+//!   positions), and
+//! * **receiver queries** pick their method from the epoch. At a zero epoch a distinct
+//!   timestamp's positions typically serve a single broadcast, so the medium scans all
+//!   `n` nodes. At a non-zero epoch one uniform-grid [`SpatialIndex`] build (cell side =
+//!   maximum radio range) serves every query of the epoch, and a query inspects only the
+//!   cells overlapping its disc.
 //!
-//! **Determinism guarantee.** The grid and brute-force query modes share the cached
-//! position buffer and the `distance² ≤ r²` predicate, and both return receivers in
-//! ascending [`NodeId`] order, so per-receiver randomness (channel loss draws) is
-//! byte-identical across modes: for the same seeds, a run with
-//! [`NeighborQuery::Grid`] produces exactly the same [`crate::SimReport`] as one with
-//! [`NeighborQuery::BruteForce`]. The position epoch *does* change physics (positions
-//! quantise to epoch starts), so it is a fidelity/performance knob, not a free
-//! optimisation — but any two runs with the same epoch agree regardless of query mode.
+//! **Determinism.** Both methods apply the same `distance² ≤ r²` predicate to the same
+//! cached positions and return receivers in ascending [`NodeId`] order, so per-receiver
+//! randomness (channel loss draws) is drawn in the same order either way. The position
+//! epoch *does* change physics (positions quantise to epoch starts), so it is a
+//! fidelity/performance knob, not a free optimisation.
 
 use crate::geometry::Vec2;
 use crate::mobility::BoxedMobility;
@@ -26,50 +25,21 @@ use crate::spatial::SpatialIndex;
 use serde::{Deserialize, Serialize};
 use ssmcast_dessim::{SimDuration, SimTime};
 
-/// Which implementation answers range queries on the medium.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash, Serialize, Deserialize)]
-pub enum NeighborQuery {
-    /// Uniform-grid spatial index: O(k) candidates per query (the default).
-    ///
-    /// The index pays off when one build serves many queries, i.e. when positions are
-    /// cached per epoch. With a [`SimDuration::ZERO`] epoch every distinct event
-    /// timestamp would rebuild the grid for (typically) a single broadcast, which costs
-    /// more than the scan it replaces — so the medium silently answers zero-epoch
-    /// queries with the linear scan. Results are identical either way.
-    Grid,
-    /// Linear scan over all nodes: O(n) per query. Kept as the reference
-    /// implementation; results are byte-identical to [`NeighborQuery::Grid`].
-    BruteForce,
-}
-
 /// Configuration of the radio medium layer.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
 pub struct MediumConfig {
     /// Position-cache quantum: all mobility models are advanced once per epoch and
     /// every position read inside an epoch sees the epoch-start positions.
     /// [`SimDuration::ZERO`] (the default) re-evaluates positions at every distinct
     /// event timestamp — exact physics, identical to querying the mobility models
-    /// directly.
+    /// directly. A non-zero epoch also switches receiver queries to the grid index.
     pub position_epoch: SimDuration,
-    /// Range-query implementation.
-    pub neighbor_query: NeighborQuery,
-}
-
-impl Default for MediumConfig {
-    fn default() -> Self {
-        MediumConfig { position_epoch: SimDuration::ZERO, neighbor_query: NeighborQuery::Grid }
-    }
 }
 
 impl MediumConfig {
-    /// Exact positions, grid-indexed queries (the default).
+    /// Exact positions (the default); add [`Self::with_epoch`] to engage the grid index.
     pub fn grid() -> Self {
         Self::default()
-    }
-
-    /// Exact positions, brute-force queries (the pre-refactor behaviour).
-    pub fn brute_force() -> Self {
-        MediumConfig { neighbor_query: NeighborQuery::BruteForce, ..Self::default() }
     }
 
     /// Same configuration with positions cached per `epoch`.
@@ -121,21 +91,6 @@ impl RadioMedium {
             index_at: None,
             blackout_until,
         }
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.mobility.len()
-    }
-
-    /// True if the medium has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.mobility.is_empty()
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> MediumConfig {
-        self.config
     }
 
     /// Snap a timestamp to the start of its position epoch.
@@ -213,15 +168,9 @@ impl RadioMedium {
     ) {
         let te = self.epoch_start(t);
         self.refresh_all(te);
-        // A zero-epoch grid would rebuild the index per timestamp for a single query;
-        // the scan is cheaper and (by construction) returns the identical set.
-        let use_index = self.config.neighbor_query == NeighborQuery::Grid
-            && !self.config.position_epoch.is_zero();
-        if use_index {
-            self.ensure_index(te);
-            self.index.query_disc(center, range, &self.positions, out);
-            out.retain(|&id| id != sender && !self.is_blacked_out(id, t));
-        } else {
+        // A zero-epoch index would be rebuilt per timestamp for (typically) a single
+        // query, which costs more than the scan it replaces.
+        if self.config.position_epoch.is_zero() {
             out.clear();
             let r2 = range * range;
             for i in 0..self.positions.len() {
@@ -233,6 +182,10 @@ impl RadioMedium {
                     out.push(id);
                 }
             }
+        } else {
+            self.ensure_index(te);
+            self.index.query_disc(center, range, &self.positions, out);
+            out.retain(|&id| id != sender && !self.is_blacked_out(id, t));
         }
     }
 
@@ -315,29 +268,36 @@ mod tests {
         assert_eq!(a.positions(t), b.positions(t));
     }
 
+    /// The reference the grid path must match: every node other than `sender` within
+    /// `range` of `center`, scanned in id order.
+    fn scan(positions: &[Vec2], sender: NodeId, center: Vec2, range: f64) -> Vec<NodeId> {
+        let r2 = range * range;
+        (0..positions.len() as u32)
+            .map(NodeId)
+            .filter(|&id| id != sender && positions[id.index()].distance_sq(&center) <= r2)
+            .collect()
+    }
+
     #[test]
-    fn grid_and_brute_force_receivers_are_identical() {
-        // A non-zero epoch so the grid path actually engages the spatial index (at
-        // epoch zero both modes share the scan path by design); ZERO is covered too.
-        for epoch in [SimDuration::ZERO, SimDuration::from_millis(500)] {
-            let grid_cfg = MediumConfig::grid().with_epoch(epoch);
-            let brute_cfg = MediumConfig::brute_force().with_epoch(epoch);
-            let mut grid = RadioMedium::new(waypoint_fleet(40), grid_cfg, 250.0);
-            let mut brute = RadioMedium::new(waypoint_fleet(40), brute_cfg, 250.0);
-            let mut out_g = Vec::new();
-            let mut out_b = Vec::new();
-            for secs in [0u64, 5, 31, 60] {
-                let t = SimTime::from_secs(secs);
-                for sender in [NodeId(0), NodeId(7), NodeId(39)] {
-                    let center = grid.position_of(sender, t);
-                    assert_eq!(center, brute.position_of(sender, t));
-                    for range in [50.0, 150.0, 250.0] {
-                        grid.receivers_within(sender, center, range, t, &mut out_g);
-                        brute.receivers_within(sender, center, range, t, &mut out_b);
-                        assert_eq!(out_g, out_b, "t={secs} sender={sender:?} range={range}");
-                        assert!(!out_g.contains(&sender), "sender excluded");
-                        assert!(out_g.windows(2).all(|w| w[0] < w[1]), "sorted by node id");
-                    }
+    fn grid_receivers_match_a_scan_over_the_epoch_positions() {
+        // A non-zero epoch engages the spatial index.
+        let cfg = MediumConfig::grid().with_epoch(SimDuration::from_millis(500));
+        let mut medium = RadioMedium::new(waypoint_fleet(40), cfg, 250.0);
+        let mut out = Vec::new();
+        for secs in [0u64, 5, 31, 60] {
+            let t = SimTime::from_secs(secs);
+            let positions = medium.positions(t).to_vec();
+            // Black out a neighbour of node 0 for one second: every query at `t` must
+            // drop it, and it is back by the next instant tested.
+            let dark = scan(&positions, NodeId(0), positions[0], 250.0)[0];
+            medium.set_blackout(dark, t + SimDuration::from_secs(1));
+            for sender in [NodeId(0), NodeId(7), NodeId(39)] {
+                let center = positions[sender.index()];
+                for range in [50.0, 150.0, 250.0] {
+                    medium.receivers_within(sender, center, range, t, &mut out);
+                    let mut want = scan(&positions, sender, center, range);
+                    want.retain(|&id| id != dark);
+                    assert_eq!(out, want, "t={secs} sender={sender:?} range={range}");
                 }
             }
         }

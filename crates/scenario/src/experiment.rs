@@ -127,13 +127,6 @@ impl Experiment {
         self
     }
 
-    /// Override the radio medium configuration (position-cache epoch, neighbour-query
-    /// mode) for every run in the grid, including columns from an earlier
-    /// [`Experiment::sweep`] call.
-    pub fn medium(self, medium: ssmcast_manet::MediumConfig) -> Self {
-        self.override_all(|s| s.medium = medium)
-    }
-
     /// Override the fault-injection spec for every run in the grid, including columns
     /// from an earlier [`Experiment::sweep`] call. Every protocol in every cell then
     /// faces the *same* seeded fault schedule (per repetition), and each report carries
@@ -384,27 +377,6 @@ mod tests {
         assert_eq!(serial.len(), parallel.len());
         for (a, b) in serial.iter().zip(&parallel) {
             assert_eq!(a.reports, b.reports);
-        }
-    }
-
-    #[test]
-    fn medium_override_reaches_every_cell_and_preserves_results() {
-        use ssmcast_manet::MediumConfig;
-        // Grid vs brute-force neighbour queries must not change a single report, even
-        // when the override is applied after the sweep columns were built.
-        let run = |medium: MediumConfig| {
-            Experiment::new(small_base())
-                .protocol_kinds(&[ProtocolKind::Flooding])
-                .sweep(SweptParameter::Velocity, [1.0, 10.0])
-                .medium(medium)
-                .reps(2)
-                .run()
-        };
-        let grid = run(MediumConfig::grid());
-        let brute = run(MediumConfig::brute_force());
-        assert_eq!(grid.len(), brute.len());
-        for (g, b) in grid.iter().zip(&brute) {
-            assert_eq!(g.reports, b.reports);
         }
     }
 

@@ -150,9 +150,9 @@ pub struct Scenario {
     pub lifecycle: LifecycleConfig,
     /// Mobility model plugged into [`crate::runner::build_mobility`].
     pub mobility: MobilityKind,
-    /// Radio medium layer: position-cache epoch and neighbour-query mode. The default
-    /// (exact positions, grid index) reproduces the brute-force physics byte for byte;
-    /// a non-zero epoch trades position fidelity for large-n throughput.
+    /// Radio medium layer: the position-cache epoch. The default (exact positions, the
+    /// paper's model) scans every node per transmission; a non-zero epoch trades
+    /// position fidelity for large-n throughput through the grid index.
     pub medium: MediumConfig,
     /// Fault-injection knobs. [`FaultPlanSpec::none`] (the default) runs fault-free and
     /// byte-identical to pre-fault builds; any configured fault makes the harness run a
@@ -353,16 +353,12 @@ mod tests {
     }
 
     #[test]
-    fn medium_defaults_to_exact_grid_and_is_overridable() {
+    fn medium_defaults_to_exact_positions_and_is_overridable() {
         use ssmcast_dessim::SimDuration;
-        use ssmcast_manet::NeighborQuery;
         let s = Scenario::paper_default();
         assert_eq!(s.medium, MediumConfig::default());
         assert!(s.medium.position_epoch.is_zero(), "exact physics by default");
-        assert_eq!(s.medium.neighbor_query, NeighborQuery::Grid);
-        let tuned =
-            s.with_medium(MediumConfig::brute_force().with_epoch(SimDuration::from_millis(100)));
-        assert_eq!(tuned.medium.neighbor_query, NeighborQuery::BruteForce);
+        let tuned = s.with_medium(MediumConfig::grid().with_epoch(SimDuration::from_millis(100)));
         assert_eq!(tuned.medium.position_epoch, SimDuration::from_millis(100));
     }
 

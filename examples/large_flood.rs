@@ -1,19 +1,13 @@
 //! Scaling demonstration: blind flooding at large n, sequential and sharded.
 //!
-//! With no arguments, runs the legacy n = 1200 comparison — the same scenario once with
-//! the brute-force O(n) receiver scan and once with the grid-indexed O(k) path — and
-//! prints wall-clock time and events/sec for each, plus the (identical) delivery
-//! statistics:
-//!
-//! ```text
-//! cargo run --release --example large_flood
-//! ```
-//!
-//! With arguments, runs the flood at a chosen node count under one or more engine
+//! Runs the flood at a chosen node count (default 1200) under one or more engine
 //! configurations (`0` = the sequential engine, `k > 0` = the region-sharded engine with
-//! `k` worker threads) and prints the speedup of every later run over the first:
+//! `k` worker threads; default `0 8` when a node count is given, `0` when none is) and
+//! prints wall-clock time, events/sec and delivery statistics for each, plus the speedup
+//! of every later run over the first:
 //!
 //! ```text
+//! cargo run --release --example large_flood                 # n=1200, sequential
 //! cargo run --release --example large_flood -- 20000 0 8    # n=20k, sequential vs 8 shards
 //! cargo run --release --example large_flood -- 100000 8     # n=100k on 8 shards
 //! ```
@@ -28,28 +22,19 @@ use ssmcast::dessim::{SeedSequence, SimDuration};
 use ssmcast::manet::{MediumConfig, NetworkSim};
 use ssmcast::scenario::{build_mobility, build_setup, Scenario};
 
-/// 1200 nodes over a 4.2 km × 4.2 km field (≈ 13 neighbours per node at 250 m range), a
-/// short CBR burst, blind flooding — the broadcast-heavy worst case for the medium layer.
-fn large_scenario() -> Scenario {
+/// Blind flooding over `n` nodes with a short CBR burst — the broadcast-heavy worst case
+/// for the medium layer. The field is 4.2 km × 4.2 km at n = 1200; simulated time
+/// shortens at very large n so the n = 100k configuration finishes in minutes.
+fn scaled_scenario(n: usize) -> Scenario {
     let mut s = Scenario::paper_default();
-    s.n_nodes = 1_200;
-    s.area_side_m = 4_200.0;
+    s.n_nodes = n;
+    s.area_side_m = 4_200.0 * (n as f64 / 1_200.0).sqrt();
     s.group_size = 50;
     s.duration_s = 3.0;
     s.warmup_s = 0.5;
     s.max_speed_mps = 10.0;
-    // Cache positions per 200 ms epoch: both runs below share this quantisation, so
-    // their physics — and their reports — are identical; only the query cost differs.
+    // Cache positions per 200 ms epoch, which engages the medium's grid index.
     s.medium = MediumConfig::grid().with_epoch(SimDuration::from_millis(200));
-    s
-}
-
-/// The same flood at `n` nodes: field scaled with √n for constant density, simulated
-/// time shortened at very large n so the n = 100k configuration finishes in minutes.
-fn scaled_scenario(n: usize) -> Scenario {
-    let mut s = large_scenario();
-    s.n_nodes = n;
-    s.area_side_m = 4_200.0 * (n as f64 / 1_200.0).sqrt();
     if n >= 50_000 {
         s.duration_s = 1.0;
         s.warmup_s = 0.2;
@@ -57,7 +42,7 @@ fn scaled_scenario(n: usize) -> Scenario {
     s
 }
 
-fn run_once(s: &Scenario, label: &str) -> (u64, f64) {
+fn run_once(s: &Scenario, label: &str) -> f64 {
     let seeds = SeedSequence::new(s.seed);
     let setup = build_setup(s, seeds);
     let mobility = build_mobility(s, &seeds);
@@ -74,27 +59,7 @@ fn run_once(s: &Scenario, label: &str) -> (u64, f64) {
          (generated {}, pdr {:.3})",
         wall, report.generated, report.pdr
     );
-    (events, wall.as_secs_f64())
-}
-
-/// Legacy mode: brute-force vs grid receiver queries on the sequential engine.
-fn query_mode_comparison() {
-    let s = large_scenario();
-    println!(
-        "flooding, n = {}, {:.0} m field, {:.0} s simulated, position epoch {}",
-        s.n_nodes, s.area_side_m, s.duration_s, s.medium.position_epoch
-    );
-    let epoch = s.medium.position_epoch;
-    let mut brute = s;
-    brute.medium = MediumConfig::brute_force().with_epoch(epoch);
-    brute.engine = brute.engine.with_stats();
-    let (ev_brute, wall_brute) = run_once(&brute, "brute-force scan");
-    let mut grid = s;
-    grid.medium = MediumConfig::grid().with_epoch(epoch);
-    grid.engine = grid.engine.with_stats();
-    let (ev_grid, wall_grid) = run_once(&grid, "grid spatial index");
-    assert_eq!(ev_brute, ev_grid, "query modes must process identical event streams");
-    println!("speedup: {:.2}x", wall_brute / wall_grid);
+    wall.as_secs_f64()
 }
 
 fn main() {
@@ -102,11 +67,11 @@ fn main() {
         .skip(1)
         .map(|a| a.parse().unwrap_or_else(|_| panic!("expected an integer, got {a:?}")))
         .collect();
-    let Some((&n, rest)) = args.split_first() else {
-        query_mode_comparison();
-        return;
+    let (n, shard_counts) = match args.split_first() {
+        None => (1_200, vec![0]),
+        Some((&n, [])) => (n, vec![0, 8]),
+        Some((&n, rest)) => (n, rest.to_vec()),
     };
-    let shard_counts: Vec<usize> = if rest.is_empty() { vec![0, 8] } else { rest.to_vec() };
     let s = scaled_scenario(n);
     println!(
         "flooding, n = {}, {:.0} m field, {:.1} s simulated",
@@ -120,7 +85,7 @@ fn main() {
             run = run.with_shards(k as u32);
         }
         run.engine = run.engine.with_stats();
-        let (_, wall) = run_once(&run, &label);
+        let wall = run_once(&run, &label);
         match first_wall {
             None => first_wall = Some(wall),
             Some(base) => println!("{:<22} {:.2}x vs the first run", "  speedup", base / wall),

@@ -150,23 +150,31 @@ fn session_collision_blocks_partition_the_global_counter() {
 
 #[test]
 fn mac_enabled_reports_are_deterministic_across_threads_and_query_modes() {
+    use ssmcast::dessim::SimDuration;
     use ssmcast::manet::MediumConfig;
     let mut base = contended_base();
     base.duration_s = 25.0;
-    let run = |threads: usize, medium: MediumConfig| {
-        Experiment::new(base.with_medium(medium))
+    let run = |threads: usize, s: Scenario| {
+        Experiment::new(s)
             .protocol_kinds(&[ProtocolKind::SsSpst(MetricKind::Hop)])
             .sweep(SweptParameter::MacKind, [0.0, 1.0, 2.0])
             .threads(threads)
             .run()
     };
-    let serial = run(1, MediumConfig::grid());
-    let parallel = run(8, MediumConfig::grid());
-    let brute = run(4, MediumConfig::brute_force());
+    let serial = run(1, base);
+    let parallel = run(8, base);
+    // On a static topology a position epoch changes no physics, so the grid-indexed
+    // query path (non-zero epoch) must reproduce the exact scan (zero epoch).
+    let fixed = base.with_mobility(MobilityKind::StaticGrid);
+    let scan = run(4, fixed);
+    let epoch = MediumConfig::grid().with_epoch(SimDuration::from_millis(250));
+    let grid = run(4, fixed.with_medium(epoch));
     assert_eq!(serial.len(), 3);
-    for ((a, b), c) in serial.iter().zip(&parallel).zip(&brute) {
+    for (a, b) in serial.iter().zip(&parallel) {
         assert_eq!(a.reports, b.reports, "thread count changed a MAC-enabled report");
-        assert_eq!(a.reports, c.reports, "neighbour-query mode changed a MAC-enabled report");
+    }
+    for (a, b) in scan.iter().zip(&grid) {
+        assert_eq!(a.reports, b.reports, "neighbour-query path changed a MAC-enabled report");
     }
     // The sweep actually exercised all three policies.
     let kinds: Vec<MacKind> = [MacKind::RandomJitter, MacKind::Csma, MacKind::SsTdma].to_vec();

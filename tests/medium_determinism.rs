@@ -6,7 +6,7 @@
 
 use ssmcast::core::MetricKind;
 use ssmcast::dessim::SimDuration;
-use ssmcast::manet::{MediumConfig, NeighborQuery};
+use ssmcast::manet::MediumConfig;
 use ssmcast::scenario::{run_protocol, MobilityKind, ProtocolKind, Scenario};
 
 /// One golden line: a label for failure messages, the scenario and the protocol.
@@ -42,10 +42,9 @@ fn cases() -> Vec<(String, Scenario, ProtocolKind)> {
     cases
 }
 
-fn rendered(query: NeighborQuery) -> String {
+fn rendered() -> String {
     let mut out = String::new();
-    for (_, mut s, kind) in cases() {
-        s.medium.neighbor_query = query;
+    for (_, s, kind) in cases() {
         let report = run_protocol(&s, kind.to_protocol().as_ref());
         assert!(report.generated > 100, "CBR must generate traffic");
         out.push_str(&serde_json::to_string(&report).expect("reports serialize"));
@@ -57,8 +56,7 @@ fn rendered(query: NeighborQuery) -> String {
 #[test]
 fn epoch_reports_match_the_golden_bytes() {
     let golden = include_str!("golden/medium_epoch_reports.jsonl");
-    let now = rendered(NeighborQuery::Grid);
-    assert_eq!(now, rendered(NeighborQuery::BruteForce), "query mode changed a seeded result");
+    let now = rendered();
     for ((label, _, _), (g, n)) in cases().iter().zip(golden.lines().zip(now.lines())) {
         assert_eq!(g, n, "{label}: report diverged from the golden bytes");
     }
@@ -73,7 +71,7 @@ fn golden_write() {
     if std::env::var("GOLDEN_WRITE").is_ok() {
         std::fs::write(
             concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/medium_epoch_reports.jsonl"),
-            rendered(NeighborQuery::Grid),
+            rendered(),
         )
         .unwrap();
     }

@@ -15,8 +15,8 @@
 
 use ssmcast::core::MetricKind;
 use ssmcast::dessim::{SimDuration, SimTime};
-use ssmcast::manet::{DataTag, GroupId, NodeId, Trace};
-use ssmcast::scenario::{run_protocol, MetricsConfig, ProtocolKind, Scenario};
+use ssmcast::manet::{DataTag, GroupId, MediumConfig, NodeId, Trace};
+use ssmcast::scenario::{run_protocol, MetricsConfig, MobilityKind, ProtocolKind, Scenario};
 
 /// A scenario with enough physics to exercise every scalar under test: finite batteries
 /// plus idle drain (lifetime block, time-to-first-death), real traffic (latency,
@@ -126,12 +126,17 @@ fn streaming_runs_are_deterministic_and_query_mode_invariant() {
     let render = |s: &Scenario| {
         serde_json::to_string(&report(s, ProtocolKind::Flooding)).expect("reports serialize")
     };
-    let grid = base_scenario().with_metrics(MetricsConfig::streaming());
-    let mut brute = base_scenario().with_metrics(MetricsConfig::streaming());
-    brute.medium = ssmcast::manet::MediumConfig::brute_force();
-    let first = render(&grid);
-    assert_eq!(first, render(&grid), "same seed, same streaming bytes");
-    assert_eq!(first, render(&brute), "neighbor-query mode leaked into the streaming report");
+    let streaming = base_scenario().with_metrics(MetricsConfig::streaming());
+    assert_eq!(render(&streaming), render(&streaming), "same seed, same streaming bytes");
+    // On a static topology a position epoch changes no physics, so the grid-indexed
+    // query path (non-zero epoch) must serialize the exact scan's (zero epoch) bytes.
+    let fixed = streaming.with_mobility(MobilityKind::StaticGrid);
+    let epoch = MediumConfig::grid().with_epoch(SimDuration::from_millis(250));
+    assert_eq!(
+        render(&fixed),
+        render(&fixed.with_medium(epoch)),
+        "neighbour-query path leaked into the streaming report"
+    );
 }
 
 #[test]
