@@ -58,7 +58,7 @@ pub struct SimSetup {
     pub mac: MacConfig,
     /// Seed sequence for loss sampling and per-node protocol jitter.
     pub seeds: SeedSequence,
-    /// Radio medium configuration: position-cache epoch and neighbour-query mode.
+    /// Radio medium configuration: the position-cache epoch.
     pub medium: MediumConfig,
     /// Scheduled fault events (empty for the paper's fault-free experiments). Injected
     /// through the event queue, so a `(seed, plan)` pair fully determines the run.

@@ -639,7 +639,7 @@ impl<A: ProtocolAgent> NodeCore<A> {
         // receivers learn from what was actually on the air, not from the sender's
         // later state.
         let piggyback: Option<Arc<[u16]>> = self.mac.piggyback_row(sender, class).map(Arc::from);
-        // Receivers come back in ascending node-id order regardless of query mode, so
+        // Receivers come back in ascending node-id order from the scan and the grid, so
         // the per-receiver draws below consume the loss stream in a fixed sequence.
         let mut to = Vec::with_capacity(receivers.len());
         for &rx in &receivers {

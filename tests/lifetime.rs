@@ -19,7 +19,7 @@ use ssmcast::scenario::{
 };
 use std::sync::{Arc, Mutex};
 
-/// The acceptance criterion of the lifetime workload: on the `FigLifetime` preset the
+/// The acceptance condition of the lifetime workload: on the `FigLifetime` preset the
 /// energy-aware tree keeps its first node alive at least as long as the hop tree, which
 /// outlives blind flooding — strictly, at capacities small enough that everyone loses
 /// somebody.

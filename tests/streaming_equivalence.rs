@@ -7,9 +7,9 @@
 //!   shared integer/FP counters on `Trace`; the budgets only bound the sketches.
 //! * Histogram quantiles are approximate by construction, but the error law is fixed:
 //!   within one bin width of the exact order statistic, checked on known delays.
-//! * Streaming reports stay deterministic for a seed and invariant across neighbor-query
-//!   modes and shard counts ∈ {1, 2, 8} — the sketch merges coarsen to
-//!   content-determined levels, so merge order cannot leak into the bytes.
+//! * Streaming reports stay deterministic for a seed and invariant across the medium's
+//!   scan and grid query paths and shard counts ∈ {1, 2, 8} — the sketch merges coarsen
+//!   to content-determined levels, so merge order cannot leak into the bytes.
 //! * The report layer's memory is bounded by configuration, not by event count: a
 //!   synthetic horizon long enough to matter shows ≥ 10× less trace memory.
 
