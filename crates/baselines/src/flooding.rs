@@ -9,8 +9,7 @@
 //! is per session, so concurrent sessions flood independently even though their sources
 //! reuse overlapping sequence numbers.
 
-use ssmcast_manet::{DataTag, Disposition, NodeCtx, Packet, ProtocolAgent};
-use std::collections::HashSet;
+use ssmcast_manet::{DataTag, Disposition, NodeCtx, Packet, ProtocolAgent, SeqSet};
 
 /// The flooding payload: only data, no control messages.
 #[derive(Clone, Debug, PartialEq)]
@@ -19,7 +18,7 @@ pub struct FloodPayload;
 /// Per-node flooding state: which packets we have already relayed.
 #[derive(Debug, Default)]
 pub struct FloodingAgent {
-    seen: HashSet<u64>,
+    seen: SeqSet,
 }
 
 impl FloodingAgent {

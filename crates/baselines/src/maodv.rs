@@ -19,8 +19,7 @@
 //! medium.
 
 use ssmcast_dessim::{SimDuration, SimTime};
-use ssmcast_manet::{DataTag, Disposition, NodeCtx, NodeId, Packet, ProtocolAgent};
-use std::collections::HashSet;
+use ssmcast_manet::{DataTag, Disposition, NodeCtx, NodeId, Packet, ProtocolAgent, SeqSet};
 
 /// Timer class for the periodic Group Hello at the leader.
 const TIMER_HELLO: u64 = 1;
@@ -59,13 +58,13 @@ const MAX_BUFFERED: usize = 64;
 /// The per-node MAODV state machine.
 #[derive(Debug)]
 pub struct MaodvAgent {
-    hello_seen: HashSet<u64>,
+    hello_seen: SeqSet,
     /// Next hop towards the group leader and the hello sequence that taught it to us.
     upstream: Option<NodeId>,
     upstream_expires: SimTime,
     /// This node is an activated tree router until this time.
     on_tree_until: SimTime,
-    seen_data: HashSet<u64>,
+    seen_data: SeqSet,
     /// Leader-only state.
     hello_seq: u64,
     last_app_data: Option<SimTime>,
@@ -78,11 +77,11 @@ impl MaodvAgent {
     /// Create an agent with the protocol's fixed parameters.
     pub fn with_defaults() -> Self {
         MaodvAgent {
-            hello_seen: HashSet::new(),
+            hello_seen: SeqSet::new(),
             upstream: None,
             upstream_expires: SimTime::ZERO,
             on_tree_until: SimTime::ZERO,
-            seen_data: HashSet::new(),
+            seen_data: SeqSet::new(),
             hello_seq: 0,
             last_app_data: None,
             hello_armed: false,

@@ -15,8 +15,10 @@
 //!   child; sleeping children get a timer that fires exactly one delivery-delay before
 //!   their next wake, so the frame lands in the open window instead of being lost.
 
-use ssmcast_manet::{DataTag, Disposition, DutySchedule, NodeCtx, NodeId, Packet, ProtocolAgent};
-use std::collections::{HashMap, HashSet};
+use ssmcast_manet::{
+    DataTag, Disposition, DutySchedule, NodeCtx, NodeId, Packet, ProtocolAgent, SeqSet,
+};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Tree forwarding needs no control traffic: the payload is data-only, like flooding's.
@@ -51,7 +53,7 @@ pub struct MinEnergyAgent {
     children: Vec<(NodeId, f64)>,
     /// Duty schedule for DCA-Forward; `None` selects plain MEM-Tree forwarding.
     duty: Option<Arc<DutySchedule>>,
-    seen: HashSet<u64>,
+    seen: SeqSet,
     pending: HashMap<u64, PendingForward>,
 }
 
@@ -62,7 +64,7 @@ impl MinEnergyAgent {
             parent,
             children,
             duty: None,
-            seen: HashSet::new(),
+            seen: SeqSet::new(),
             pending: HashMap::new(),
         }
     }
@@ -77,7 +79,7 @@ impl MinEnergyAgent {
             parent,
             children,
             duty: Some(duty),
-            seen: HashSet::new(),
+            seen: SeqSet::new(),
             pending: HashMap::new(),
         }
     }

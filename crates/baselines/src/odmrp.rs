@@ -14,8 +14,7 @@
 //! all sessions contend on the one shared radio medium.
 
 use ssmcast_dessim::{SimDuration, SimTime};
-use ssmcast_manet::{DataTag, Disposition, NodeCtx, NodeId, Packet, ProtocolAgent};
-use std::collections::HashSet;
+use ssmcast_manet::{DataTag, Disposition, NodeCtx, NodeId, Packet, ProtocolAgent, SeqSet};
 
 /// Timer class for the periodic Join-Query refresh at the source.
 const TIMER_REFRESH: u64 = 1;
@@ -60,14 +59,14 @@ const MAX_BUFFERED: usize = 64;
 #[derive(Debug)]
 pub struct OdmrpAgent {
     /// Join-Query sequence numbers already processed (duplicate suppression for the flood).
-    jq_seen: HashSet<u64>,
+    jq_seen: SeqSet,
     /// Reverse-path next hop towards the source, learned from the freshest Join Query.
     upstream: Option<NodeId>,
     upstream_seq: u64,
     /// This node is in the forwarding group until this time.
     forwarding_until: SimTime,
     /// Data packets already handled (duplicate suppression for the mesh).
-    seen_data: HashSet<u64>,
+    seen_data: SeqSet,
     /// Source-only: next Join-Query sequence number.
     jq_seq: u64,
     /// Source-only: when the application last produced data.
@@ -84,11 +83,11 @@ impl OdmrpAgent {
     /// Create an agent with the protocol's fixed parameters.
     pub fn with_defaults() -> Self {
         OdmrpAgent {
-            jq_seen: HashSet::new(),
+            jq_seen: SeqSet::new(),
             upstream: None,
             upstream_seq: 0,
             forwarding_until: SimTime::ZERO,
-            seen_data: HashSet::new(),
+            seen_data: SeqSet::new(),
             jq_seq: 0,
             last_app_data: None,
             refresh_armed: false,

@@ -20,9 +20,8 @@ use crate::metric::{cost_via, MetricKind, MetricParams, ParentView};
 use crate::sync_model::choose_parent;
 use ssmcast_dessim::{SimDuration, SimTime};
 use ssmcast_manet::{
-    DataTag, Disposition, NodeCtx, NodeId, Packet, ProtocolAgent, SilenceConfig, Vec2,
+    DataTag, Disposition, NodeCtx, NodeId, Packet, ProtocolAgent, SeqSet, SilenceConfig, Vec2,
 };
-use std::collections::{HashMap, HashSet};
 
 /// Timer class used for the periodic beacon.
 const TIMER_BEACON: u64 = 1;
@@ -161,8 +160,10 @@ pub struct SsSpstAgent {
     infinity_cost: f64,
     max_hops: u32,
     has_downstream_member: bool,
-    neighbors: HashMap<NodeId, NeighborEntry>,
-    seen_data: HashSet<u64>,
+    /// The neighbour table, sorted by node id: lookups binary-search it and every walk
+    /// (candidate parents, beacon child lists, corruption) visits neighbours in id order.
+    neighbors: Vec<(NodeId, NeighborEntry)>,
+    seen_data: SeqSet,
     silence: SilenceState,
 }
 
@@ -177,8 +178,8 @@ impl SsSpstAgent {
             infinity_cost: f64::INFINITY,
             max_hops: u32::MAX,
             has_downstream_member: false,
-            neighbors: HashMap::new(),
-            seen_data: HashSet::new(),
+            neighbors: Vec::new(),
+            seen_data: SeqSet::new(),
             silence: SilenceState::default(),
         }
     }
@@ -216,11 +217,21 @@ impl SsSpstAgent {
         base.mul_f64(NEIGHBOR_TIMEOUT_INTERVALS)
     }
 
+    /// Where `id` sits in the neighbour table: `Ok` at its entry, `Err` where it would go.
+    fn slot(&self, id: NodeId) -> Result<usize, usize> {
+        self.neighbors.binary_search_by_key(&id, |(u, _)| *u)
+    }
+
+    /// The neighbour entries, in id order.
+    fn entries(&self) -> impl Iterator<Item = &NeighborEntry> {
+        self.neighbors.iter().map(|(_, e)| e)
+    }
+
     /// Drop stale neighbours; returns true when any entry expired (evidence of a
     /// topology change under suppression).
     fn expire_neighbors(&mut self, now: SimTime) -> bool {
         let before = self.neighbors.len();
-        self.neighbors.retain(|_, e| now.saturating_since(e.last_heard) <= e.timeout);
+        self.neighbors.retain(|(_, e)| now.saturating_since(e.last_heard) <= e.timeout);
         self.neighbors.len() != before
     }
 
@@ -233,7 +244,7 @@ impl SsSpstAgent {
             return true;
         }
         match self.parent {
-            Some(p) => self.neighbors.contains_key(&p) && self.cost < self.infinity_cost,
+            Some(p) => self.slot(p).is_ok() && self.cost < self.infinity_cost,
             None => false,
         }
     }
@@ -269,7 +280,7 @@ impl SsSpstAgent {
                     // a neighbour claiming this node as its parent is downstream of us.
                     && (kind.is_additive() || !e.parent_is_me)
             })
-            .map(|(&u, e)| (u, cost_via(kind, params, &e.view, e.distance), e.view.hop + 1));
+            .map(|(u, e)| (*u, cost_via(kind, params, &e.view, e.distance), e.view.hop + 1));
         (self.parent, self.cost, self.hop) = match choose_parent(candidates, self.parent, true) {
             Some((u, cost, hop)) => (Some(u), cost, hop),
             None => (None, self.infinity_cost, self.max_hops),
@@ -278,8 +289,7 @@ impl SsSpstAgent {
 
     /// Recompute the bottom-up pruning flag from the children's advertised flags.
     fn refresh_downstream_flag(&mut self, ctx: &NodeCtx<'_, SsSpstPayload>) {
-        let from_children =
-            self.neighbors.values().any(|e| e.parent_is_me && e.has_downstream_member);
+        let from_children = self.entries().any(|e| e.parent_is_me && e.has_downstream_member);
         self.has_downstream_member = ctx.is_member() || from_children;
     }
 
@@ -292,8 +302,7 @@ impl SsSpstAgent {
     fn forward_data(&self, ctx: &mut NodeCtx<'_, SsSpstPayload>, tag: DataTag, size: u32) {
         // The farthest child that leads to group members; none means nothing to forward.
         let Some(far) = self
-            .neighbors
-            .values()
+            .entries()
             .filter(|e| e.parent_is_me && e.has_downstream_member)
             .map(|e| e.distance)
             .reduce(f64::max)
@@ -319,7 +328,7 @@ impl SsSpstAgent {
         let non_member_neighbor_distances = if self.config.kind == MetricKind::EnergyAware {
             self.neighbors
                 .iter()
-                .filter(|(id, e)| !e.member && !e.parent_is_me && self.parent != Some(**id))
+                .filter(|(id, e)| !e.member && !e.parent_is_me && self.parent != Some(*id))
                 .map(|(_, e)| e.distance)
                 .collect()
         } else {
@@ -408,12 +417,14 @@ impl ProtocolAgent for SsSpstAgent {
                 let timeout = self.timeout_for(beacon);
                 let entry =
                     NeighborEntry::from_beacon(ctx.id, ctx.position, beacon, ctx.now, timeout);
+                let slot = self.slot(packet.sender);
                 if self.config.silence.enabled {
                     // A brand-new neighbour, or a beacon disagreeing with the cached
                     // view of the sender, is evidence the tree may be reshaping.
-                    let inconsistent = match self.neighbors.get(&packet.sender) {
-                        None => true,
-                        Some(prev) => {
+                    let inconsistent = match slot {
+                        Err(_) => true,
+                        Ok(i) => {
+                            let prev = &self.neighbors[i].1;
                             prev.parent_is_me != entry.parent_is_me
                                 || prev.view.hop != entry.view.hop
                                 || prev.member != entry.member
@@ -426,7 +437,10 @@ impl ProtocolAgent for SsSpstAgent {
                         self.schedule_next_beacon(ctx);
                     }
                 }
-                self.neighbors.insert(packet.sender, entry);
+                match slot {
+                    Ok(i) => self.neighbors[i].1 = entry,
+                    Err(i) => self.neighbors.insert(i, (packet.sender, entry)),
+                }
                 Disposition::Consumed
             }
             SsSpstPayload::Data => {
@@ -495,12 +509,8 @@ impl ProtocolAgent for SsSpstAgent {
         self.hop = rng.gen::<u32>();
         self.parent = ssmcast_manet::scrambled_parent(rng);
         self.has_downstream_member = rng.gen::<bool>();
-        // Deterministic corruption: HashMap iteration order varies between runs, so
-        // walk the neighbour table in id order to keep RNG draws reproducible.
-        let mut ids: Vec<NodeId> = self.neighbors.keys().copied().collect();
-        ids.sort();
-        for id in ids {
-            let entry = self.neighbors.get_mut(&id).expect("id collected above");
+        // The table is in id order, so the RNG draws are reproducible.
+        for (_, entry) in &mut self.neighbors {
             entry.view.cost = rng.gen::<f64>() * bound;
             entry.view.hop = rng.gen::<u32>();
             entry.parent_is_me = rng.gen::<bool>();
@@ -1067,5 +1077,68 @@ mod tests {
             Some(NodeId(0)),
             "a correctly silent neighbour must not be expired"
         );
+    }
+
+    /// A source beacon plus beacons from four children of `me`, ids out of order.
+    fn source_and_children(me: NodeId) -> Vec<Packet<SsSpstPayload>> {
+        let source = beacon_from(0.0, 0, Vec2::ZERO, true, true);
+        let mut packets = vec![Packet::control(NodeId(0), 32, SsSpstPayload::Beacon(source))];
+        for (id, x) in [(9, 190.0), (4, 140.0), (7, 170.0), (2, 120.0)] {
+            let mut b = beacon_from(10.0, 2, Vec2::new(x, 0.0), true, true);
+            b.parent = Some(me);
+            packets.push(Packet::control(NodeId(id), 32, SsSpstPayload::Beacon(b)));
+        }
+        packets
+    }
+
+    /// Start an agent at node 5 and let it hear `packets` in the given order.
+    fn agent_that_heard(h: &mut Harness, packets: &[Packet<SsSpstPayload>]) -> SsSpstAgent {
+        let (me, my_pos) = (NodeId(5), Vec2::new(100.0, 0.0));
+        let mut agent = SsSpstAgent::new(SsSpstConfig::paper_default(MetricKind::EnergyAware));
+        agent.start(&mut h.ctx(SimTime::ZERO, me, my_pos, GroupRole::Member));
+        let mut ctx = h.ctx(SimTime::from_secs(1), me, my_pos, GroupRole::Member);
+        for pkt in packets {
+            agent.on_packet(&mut ctx, pkt);
+        }
+        agent
+    }
+
+    #[test]
+    fn beacon_children_are_ascending_by_id() {
+        let mut h = Harness::new();
+        let mut agent = agent_that_heard(&mut h, &source_and_children(NodeId(5)));
+        let mut ctx =
+            h.ctx(SimTime::from_secs(2), NodeId(5), Vec2::new(100.0, 0.0), GroupRole::Member);
+        agent.on_timer(&mut ctx, TIMER_BEACON, 0);
+        let beacon = h
+            .actions
+            .iter()
+            .find_map(|a| match a {
+                Action::Broadcast { payload: SsSpstPayload::Beacon(b), .. } => Some(b),
+                _ => None,
+            })
+            .expect("beacon emitted");
+        let ids: Vec<NodeId> = beacon.children.iter().map(|(id, _)| *id).collect();
+        assert_eq!(ids, [2, 4, 7, 9].map(NodeId));
+    }
+
+    #[test]
+    fn corruption_is_reproducible_whatever_order_beacons_arrived_in() {
+        let packets = source_and_children(NodeId(5));
+        let reversed: Vec<_> = packets.iter().rev().cloned().collect();
+        let (mut ha, mut hb) = (Harness::new(), Harness::new());
+        let mut a = agent_that_heard(&mut ha, &packets);
+        let mut b = agent_that_heard(&mut hb, &reversed);
+        a.corrupt_state(&mut StdRng::seed_from_u64(11));
+        b.corrupt_state(&mut StdRng::seed_from_u64(11));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        // The next round stabilizes both from the same scrambled state identically.
+        for (agent, h) in [(&mut a, &mut ha), (&mut b, &mut hb)] {
+            let mut ctx =
+                h.ctx(SimTime::from_secs(2), NodeId(5), Vec2::new(100.0, 0.0), GroupRole::Member);
+            agent.on_timer(&mut ctx, TIMER_BEACON, 0);
+        }
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_eq!(format!("{:?}", ha.actions), format!("{:?}", hb.actions));
     }
 }

@@ -25,8 +25,8 @@ pub struct Beacon {
     pub member: bool,
     /// Bottom-up pruning flag: true if the sender's subtree contains a group member.
     pub has_downstream_member: bool,
-    /// Distances from the sender to its current tree children, with their ids so a
-    /// candidate child can exclude itself when pricing a (re-)join.
+    /// Distances from the sender to its current tree children, ascending by id, with
+    /// their ids so a candidate child can exclude itself when pricing a (re-)join.
     pub children: Vec<(NodeId, f64)>,
     /// Distances from the sender to its non-member, non-tree neighbours (potential
     /// overhearers). Only advertised by SS-SPST-E.

@@ -81,7 +81,7 @@ pub use mobility::{
     Stationary, WaypointConfig,
 };
 pub use node::{GroupId, GroupRole, NodeId};
-pub use packet::{DataTag, Packet, PacketClass};
+pub use packet::{DataTag, Packet, PacketClass, SeqSet};
 pub use report::{GroupAccounting, SimReport, Trace};
 pub use runtime::{Delivery, NetEvent, NetworkSim, PendingFrame, SimSetup};
 pub use session::{MembershipChange, MembershipEvent, SessionSetup};

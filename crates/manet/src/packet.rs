@@ -30,6 +30,44 @@ pub struct DataTag {
     pub created_at: SimTime,
 }
 
+/// An exact set of dense sequence numbers: one bit per sequence, in 64-bit words that
+/// grow on demand.
+///
+/// This is the duplicate filter every agent keeps. It is meant for counters that start
+/// at 0 and step by 1: the application's [`DataTag::seq`], a leader's hello sequence or
+/// a source's query sequence. Its memory is one bit per sequence up to the largest
+/// inserted, so a set holding `0..n` takes ⌈n/64⌉ words, against one hash entry per
+/// sequence for a `HashSet<u64>`. A sparse or random key (say `1 << 40`) would allocate
+/// every word below it; such keys belong in a hash set.
+#[derive(Clone, Debug, Default)]
+pub struct SeqSet {
+    words: Vec<u64>,
+}
+
+impl SeqSet {
+    /// An empty set; it allocates on the first insert.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add `seq`. Returns true if it was not in the set, as `HashSet::insert` does.
+    pub fn insert(&mut self, seq: u64) -> bool {
+        let (word, bit) = ((seq / 64) as usize, 1 << (seq % 64));
+        if word >= self.words.len() {
+            self.words.resize(word + 1, 0);
+        }
+        let fresh = self.words[word] & bit == 0;
+        self.words[word] |= bit;
+        fresh
+    }
+
+    /// Number of 64-bit words the set holds: one past the largest inserted sequence,
+    /// divided by 64 and rounded up.
+    pub fn words(&self) -> usize {
+        self.words.len()
+    }
+}
+
 /// A frame on the air. `P` is the protocol-specific payload type.
 ///
 /// A transmission is always a local broadcast: every node within the chosen transmission
@@ -82,5 +120,58 @@ mod tests {
         let d: Packet<u8> = Packet::data(NodeId(1), 512, tag, 7);
         assert!(d.is_data());
         assert_eq!(d.data.unwrap().seq, 9);
+    }
+
+    #[test]
+    fn a_dense_run_holds_one_bit_per_sequence() {
+        for n in [0u64, 1, 63, 64, 65, 128, 1000] {
+            let mut set = SeqSet::new();
+            assert!((0..n).all(|seq| set.insert(seq)));
+            assert_eq!(set.words() as u64, n.div_ceil(64), "0..{n}");
+            assert!((0..n).all(|seq| !set.insert(seq)), "every repeat is a duplicate");
+            assert!(set.insert(n));
+        }
+    }
+
+    mod props {
+        use super::super::SeqSet;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use std::collections::HashSet;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+            /// Random insert sequences mixing repeats, small steps, sparse jumps and the
+            /// 63/64/65 word boundaries: every insert and every membership query agrees
+            /// with a `HashSet<u64>` oracle (a query is an insert into a copy).
+            #[test]
+            fn seq_set_matches_a_hash_set_oracle(
+                seed in 0u64..1_000_000,
+                len in 1usize..400,
+                max_jump in 1u64..5_000,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (mut set, mut oracle) = (SeqSet::new(), HashSet::new());
+                let mut last = 0u64;
+                for _ in 0..len {
+                    let seq = match rng.gen_range(0..5u32) {
+                        0 => last,
+                        1 => last + rng.gen_range(1..3u64),
+                        2 => last + rng.gen_range(1..=max_jump),
+                        3 => 64 * rng.gen_range(0..4u64) + rng.gen_range(63..66u64),
+                        _ => rng.gen_range(0..=last),
+                    };
+                    last = last.max(seq);
+                    prop_assert_eq!(set.insert(seq), oracle.insert(seq), "insert {}", seq);
+                }
+                for seq in 0..=last + 64 {
+                    let absent = !oracle.contains(&seq);
+                    prop_assert_eq!(set.clone().insert(seq), absent, "query {}", seq);
+                }
+                prop_assert_eq!(set.words() as u64, last / 64 + 1);
+            }
+        }
     }
 }

@@ -708,12 +708,12 @@ mod tests {
     /// A trivial flooding protocol used to exercise the runtime: the source broadcasts
     /// data at max range; every member delivers; every node rebroadcasts each packet once.
     struct Flood {
-        seen: std::collections::HashSet<u64>,
+        seen: crate::packet::SeqSet,
     }
 
     impl Flood {
         fn new() -> Self {
-            Flood { seen: std::collections::HashSet::new() }
+            Flood { seen: crate::packet::SeqSet::new() }
         }
     }
 
@@ -1277,7 +1277,7 @@ mod tests {
             sim.run(SimDuration::from_secs(15))
         };
         let epoch = SimDuration::from_millis(250);
-        assert_eq!(run(MediumConfig::grid().with_epoch(epoch)), run(MediumConfig::grid()));
+        assert_eq!(run(MediumConfig::default().with_epoch(epoch)), run(MediumConfig::default()));
     }
 
     /// Two-session setup on the same 4-node line: session 0 sourced at node 0, session 1
@@ -1372,7 +1372,7 @@ mod tests {
         // A protocol that (wrongly) delivers everywhere: the runtime's membership guard
         // must still only count members.
         struct OverDeliver {
-            seen: std::collections::HashSet<u64>,
+            seen: crate::packet::SeqSet,
         }
         impl ProtocolAgent for OverDeliver {
             type Payload = ();

@@ -358,7 +358,8 @@ mod tests {
         let s = Scenario::paper_default();
         assert_eq!(s.medium, MediumConfig::default());
         assert!(s.medium.position_epoch.is_zero(), "exact physics by default");
-        let tuned = s.with_medium(MediumConfig::grid().with_epoch(SimDuration::from_millis(100)));
+        let tuned =
+            s.with_medium(MediumConfig::default().with_epoch(SimDuration::from_millis(100)));
         assert_eq!(tuned.medium.position_epoch, SimDuration::from_millis(100));
     }
 

@@ -34,7 +34,7 @@ fn scaled_scenario(n: usize) -> Scenario {
     s.warmup_s = 0.5;
     s.max_speed_mps = 10.0;
     // Cache positions per 200 ms epoch, which engages the medium's grid index.
-    s.medium = MediumConfig::grid().with_epoch(SimDuration::from_millis(200));
+    s.medium = MediumConfig::default().with_epoch(SimDuration::from_millis(200));
     if n >= 50_000 {
         s.duration_s = 1.0;
         s.warmup_s = 0.2;

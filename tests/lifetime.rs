@@ -11,7 +11,7 @@ use ssmcast::dessim::{SeedSequence, SimDuration, SimTime};
 use ssmcast::manet::{
     BoxedMobility, DataTag, Disposition, DutyCycleConfig, DutySchedule, EnergyModel, FaultPlan,
     GroupRole, MediumConfig, NetworkSim, NodeCtx, NodeId, Packet, ProtocolAgent, RadioConfig,
-    SimSetup, Stationary, TrafficConfig, Vec2,
+    SeqSet, SimSetup, Stationary, TrafficConfig, Vec2,
 };
 use ssmcast::scenario::{
     run_protocol, run_single_cell, FigureId, Metric, MobilityKind, ProtocolKind, ProtocolRegistry,
@@ -88,7 +88,7 @@ fn unlimited_battery_lifecycle_off_runs_carry_no_lifetime_block() {
 /// A flooding agent that records every protocol callback with its timestamp, so the
 /// test can prove no callback ever reaches a dead node.
 struct RecordingFlood {
-    seen: std::collections::HashSet<u64>,
+    seen: SeqSet,
     log: Arc<Mutex<Vec<(NodeId, SimTime)>>>,
 }
 

@@ -167,7 +167,7 @@ fn mac_enabled_reports_are_deterministic_across_threads_and_query_modes() {
     // query path (non-zero epoch) must reproduce the exact scan (zero epoch).
     let fixed = base.with_mobility(MobilityKind::StaticGrid);
     let scan = run(4, fixed);
-    let epoch = MediumConfig::grid().with_epoch(SimDuration::from_millis(250));
+    let epoch = MediumConfig::default().with_epoch(SimDuration::from_millis(250));
     let grid = run(4, fixed.with_medium(epoch));
     assert_eq!(serial.len(), 3);
     for (a, b) in serial.iter().zip(&parallel) {

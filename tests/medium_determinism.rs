@@ -11,7 +11,7 @@ use ssmcast::scenario::{run_protocol, MobilityKind, ProtocolKind, Scenario};
 
 /// One golden line: a label for failure messages, the scenario and the protocol.
 fn cases() -> Vec<(String, Scenario, ProtocolKind)> {
-    let epoch = |ms: u64| MediumConfig::grid().with_epoch(SimDuration::from_millis(ms));
+    let epoch = |ms: u64| MediumConfig::default().with_epoch(SimDuration::from_millis(ms));
     let mut cases = Vec::new();
 
     let mut fast = Scenario::quick_test();

@@ -131,7 +131,7 @@ fn streaming_runs_are_deterministic_and_query_mode_invariant() {
     // On a static topology a position epoch changes no physics, so the grid-indexed
     // query path (non-zero epoch) must serialize the exact scan's (zero epoch) bytes.
     let fixed = streaming.with_mobility(MobilityKind::StaticGrid);
-    let epoch = MediumConfig::grid().with_epoch(SimDuration::from_millis(250));
+    let epoch = MediumConfig::default().with_epoch(SimDuration::from_millis(250));
     assert_eq!(
         render(&fixed),
         render(&fixed.with_medium(epoch)),
