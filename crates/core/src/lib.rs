@@ -45,6 +45,6 @@ pub use graph::MulticastTopology;
 pub use metric::{join_overhead, node_cost, MetricKind, MetricParams};
 pub use min_energy::{min_energy_tree, tree_tx_power};
 pub use paper_example::{figure1_topology, run_all_examples, run_example, ExampleResult};
-pub use probe::{is_legitimate, legitimate_over, session_legitimate, StabilizationProbe};
+pub use probe::{legitimate_over, StabilizationProbe};
 pub use sync_model::{NodeState, RoundReport, SyncModel};
 pub use tree::MulticastTree;

@@ -29,6 +29,11 @@
 //! 4. every hop of those chains is an edge of the snapshot between alive,
 //!    non-blacked-out nodes (no stale, out-of-range or dark links).
 //!
+//! [`legitimate_over`] checks the parent chains first and searches the snapshot for
+//! reachability from the source only after a chain fails, since a valid chain already
+//! proves its member reachable. The verdict is the one the definition above gives, and
+//! a legitimate tree is checked in time proportional to its members' depths.
+//!
 //! Crash and blackout are treated differently on purpose: a *dead* member is exempt
 //! from coverage (no protocol can serve it), but a *blacked-out* member still counts —
 //! its node runs, only its links are dark — so a blackout episode cannot close before
@@ -50,22 +55,6 @@ use ssmcast_manet::{
     FaultKind, GroupRole, NodeId, ProbeContext, StabilizationObserver, TopologySnapshot,
 };
 use ssmcast_metrics::ConvergenceStats;
-
-/// Evaluate the network-wide legitimacy predicate: every session legitimate (see the
-/// module docs). An empty session list is vacuously illegitimate.
-pub fn is_legitimate(ctx: &ProbeContext<'_>) -> bool {
-    !ctx.sessions.is_empty()
-        && ctx
-            .sessions
-            .iter()
-            .all(|s| legitimate_over(ctx.snapshot, s.parents, ctx.alive, ctx.blacked_out, s.roles))
-}
-
-/// Evaluate the legitimacy predicate for one session of a probe context.
-pub fn session_legitimate(ctx: &ProbeContext<'_>, session: usize) -> bool {
-    let s = &ctx.sessions[session];
-    legitimate_over(ctx.snapshot, s.parents, ctx.alive, ctx.blacked_out, s.roles)
-}
 
 /// The predicate over explicit pieces, usable from tests without a running simulator.
 pub fn legitimate_over(
@@ -91,54 +80,101 @@ pub fn legitimate_over(
     if !alive[source.index()] || blacked_out[source.index()] || parents[source.index()].is_some() {
         return false;
     }
-    // Alive-restricted reachability from the source in the physical graph.
-    let mut reachable = vec![false; n];
-    let mut queue = std::collections::VecDeque::new();
-    reachable[source.index()] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for v in snapshot.neighbors(u) {
-            if alive[v.index()] && !reachable[v.index()] {
-                reachable[v.index()] = true;
-                queue.push_back(v);
-            }
-        }
-    }
     // Every alive member the physics could connect must have a valid chain to the
     // source: existing parents, alive, in range, no dark links, loop-free. A
     // blacked-out member is NOT exempt (its node runs; only its links are dark), and
     // its own first hop is unusable — so the predicate stays false for the duration of
     // a blackout that cuts any member off.
+    //
+    // Chains are checked first: a valid chain is a path of snapshot edges between alive
+    // nodes, so its member is reachable and needs no search. Only a broken chain asks
+    // whether the physics could connect its member at all. One reachability search per
+    // call answers every such question, and it stops as soon as an answer is known.
+    let mut reach: Option<Reach> = None;
     for v in 0..n {
         let id = NodeId(v as u32);
-        if !alive[v] || !roles[v].is_member() || !reachable[v] || id == source {
+        if !alive[v] || !roles[v].is_member() || id == source {
             continue;
         }
-        let mut cur = id;
-        let mut hops = 0usize;
-        loop {
-            let Some(p) = parents[cur.index()] else {
-                return false; // a connected member is detached
-            };
-            if p.index() >= n
-                || !alive[p.index()]
-                || blacked_out[p.index()]
-                || blacked_out[cur.index()]
-                || !snapshot.are_neighbors(cur, p)
-            {
-                return false; // dangling, dead, dark or out-of-range link
-            }
-            if p == source {
-                break;
-            }
-            hops += 1;
-            if hops > n {
-                return false; // parent-pointer cycle
-            }
-            cur = p;
+        if chain_reaches_source(snapshot, parents, alive, blacked_out, id, source) {
+            continue;
+        }
+        let reach = reach.get_or_insert_with(|| Reach::new(source, n));
+        if reach.reaches(id, snapshot, alive) {
+            return false; // a connected member is detached or badly attached
         }
     }
     true
+}
+
+/// True iff `member`'s parent chain reaches `source` over existing parents, alive
+/// nodes and lit snapshot edges, within `n` hops (a longer chain is a cycle).
+fn chain_reaches_source(
+    snapshot: &TopologySnapshot,
+    parents: &[Option<NodeId>],
+    alive: &[bool],
+    blacked_out: &[bool],
+    member: NodeId,
+    source: NodeId,
+) -> bool {
+    let n = snapshot.len();
+    let mut cur = member;
+    let mut hops = 0usize;
+    loop {
+        let Some(p) = parents[cur.index()] else {
+            return false; // detached
+        };
+        if p.index() >= n
+            || !alive[p.index()]
+            || blacked_out[p.index()]
+            || blacked_out[cur.index()]
+            || !snapshot.are_neighbors(cur, p)
+        {
+            return false; // dangling, dead, dark or out-of-range link
+        }
+        if p == source {
+            return true;
+        }
+        hops += 1;
+        if hops > n {
+            return false; // parent-pointer cycle
+        }
+        cur = p;
+    }
+}
+
+/// Alive-restricted reachability from a source in a snapshot's unit-disc graph, searched
+/// only as far as the questions asked so far need.
+struct Reach {
+    /// Nodes known reachable. Each is either expanded or waiting in `frontier`.
+    reached: Vec<bool>,
+    frontier: Vec<NodeId>,
+}
+
+impl Reach {
+    fn new(source: NodeId, n: usize) -> Self {
+        let mut reached = vec![false; n];
+        reached[source.index()] = true;
+        Reach { reached, frontier: vec![source] }
+    }
+
+    /// True iff `v` is reachable from the source over alive nodes. Expands the search
+    /// until `v` is reached or nothing is left to expand; visit order does not matter.
+    fn reaches(&mut self, v: NodeId, snapshot: &TopologySnapshot, alive: &[bool]) -> bool {
+        let Reach { reached, frontier } = self;
+        while !reached[v.index()] {
+            let Some(u) = frontier.pop() else {
+                return false;
+            };
+            snapshot.for_each_neighbor(u, |w| {
+                if alive[w.index()] && !reached[w.index()] {
+                    reached[w.index()] = true;
+                    frontier.push(w);
+                }
+            });
+        }
+        true
+    }
 }
 
 /// Counter snapshot a track diffs across a recovery window. The aggregate track uses
@@ -286,14 +322,21 @@ impl StabilizationObserver for StabilizationProbe {
 
     fn on_epoch(&mut self, ctx: &ProbeContext<'_>) {
         self.ensure_sessions(ctx.sessions.len());
-        self.aggregate.on_epoch(is_legitimate(ctx), ctx.now, Counters::network_wide(ctx));
-        for s in 0..ctx.sessions.len() {
-            self.per_session[s].on_epoch(
-                session_legitimate(ctx, s),
-                ctx.now,
-                Counters::of_session(ctx, s),
+        // Each session is evaluated once; the network-wide verdict is their conjunction,
+        // vacuously false for an empty session list.
+        let mut all_legitimate = !ctx.sessions.is_empty();
+        for (s, session) in ctx.sessions.iter().enumerate() {
+            let legitimate = legitimate_over(
+                ctx.snapshot,
+                session.parents,
+                ctx.alive,
+                ctx.blacked_out,
+                session.roles,
             );
+            all_legitimate &= legitimate;
+            self.per_session[s].on_epoch(legitimate, ctx.now, Counters::of_session(ctx, s));
         }
+        self.aggregate.on_epoch(all_legitimate, ctx.now, Counters::network_wide(ctx));
     }
 
     fn on_fault(&mut self, _kind: &FaultKind, ctx: &ProbeContext<'_>) {
@@ -565,10 +608,6 @@ mod tests {
         // must be baselined and closed with its *own* counters, not the network totals.
         let at_fault = [session_with(&parents, &r, 5, 0.25), session_with(&broken, &r, 100, 10.0)];
         let ctx = ctx_at(SimTime::from_secs(1), &snap, &at_fault, &alive, 11.0);
-        assert!(session_legitimate(&ctx, 0));
-        assert!(!session_legitimate(&ctx, 1));
-        assert!(!is_legitimate(&ctx), "the network-wide verdict is the conjunction");
-
         let mut probe = StabilizationProbe::new(SimDuration::from_secs(1));
         probe.on_fault(&FaultKind::Corrupt { node: NodeId(3) }, &ctx);
         // Session 0 is already legitimate at the next epoch; session 1 never recovers.
@@ -601,10 +640,250 @@ mod tests {
     }
 
     #[test]
+    fn on_epoch_records_each_session_verdict_and_their_conjunction() {
+        let snap = line();
+        let parents = chain_parents();
+        let mut broken = parents.clone();
+        broken[3] = Some(NodeId(0)); // out of range: session 1 is illegitimate
+        let r = roles();
+        let alive = vec![true; 4];
+        let sessions = [session_with(&parents, &r, 0, 0.0), session_with(&broken, &r, 0, 0.0)];
+        let mut probe = StabilizationProbe::new(SimDuration::from_secs(1));
+        probe.on_epoch(&ctx_at(SimTime::from_secs(1), &snap, &sessions, &alive, 0.0));
+        let aggregate = probe.finish(SimTime::from_secs(2)).unwrap();
+        let per = probe.session_stats();
+        assert_eq!((aggregate.epochs_probed, aggregate.epochs_legitimate), (1, 0));
+        assert_eq!(aggregate.first_legitimate_s, None, "the conjunction is illegitimate");
+        assert_eq!((per[0].epochs_probed, per[0].epochs_legitimate), (1, 1));
+        assert_eq!(per[0].first_legitimate_s, Some(1.0));
+        assert_eq!((per[1].epochs_probed, per[1].epochs_legitimate), (1, 0));
+    }
+
+    #[test]
     fn empty_session_lists_are_never_legitimate() {
         let snap = line();
         let alive = vec![true; 4];
-        let ctx = ctx_at(SimTime::from_secs(1), &snap, &[], &alive, 0.0);
-        assert!(!is_legitimate(&ctx));
+        let mut probe = StabilizationProbe::new(SimDuration::from_secs(1));
+        probe.on_epoch(&ctx_at(SimTime::from_secs(1), &snap, &[], &alive, 0.0));
+        assert_eq!(probe.stats().epochs_probed, 1);
+        assert_eq!(probe.stats().epochs_legitimate, 0);
+        assert!(probe.finish(SimTime::from_secs(2)).unwrap().first_legitimate_s.is_none());
+        assert!(probe.session_stats().is_empty());
+    }
+}
+
+/// The chains-first predicate against the reachability-first definition it replaced.
+#[cfg(test)]
+mod differential {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use ssmcast_manet::Vec2;
+
+    /// The predicate as first written: reachability from the source first, then the
+    /// parent chain of every reachable alive member. Kept verbatim as the oracle.
+    fn legitimate_over_bfs_first(
+        snapshot: &TopologySnapshot,
+        parents: &[Option<NodeId>],
+        alive: &[bool],
+        blacked_out: &[bool],
+        roles: &[GroupRole],
+    ) -> bool {
+        let n = snapshot.len();
+        if n == 0
+            || parents.len() != n
+            || alive.len() != n
+            || blacked_out.len() != n
+            || roles.len() != n
+        {
+            return false;
+        }
+        let Some(source) = roles.iter().position(|r| r.is_source()) else {
+            return false;
+        };
+        let source = NodeId(source as u32);
+        if !alive[source.index()]
+            || blacked_out[source.index()]
+            || parents[source.index()].is_some()
+        {
+            return false;
+        }
+        // Alive-restricted reachability from the source in the physical graph.
+        let mut reachable = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        reachable[source.index()] = true;
+        queue.push_back(source);
+        while let Some(u) = queue.pop_front() {
+            for v in snapshot.neighbors(u) {
+                if alive[v.index()] && !reachable[v.index()] {
+                    reachable[v.index()] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+        for v in 0..n {
+            let id = NodeId(v as u32);
+            if !alive[v] || !roles[v].is_member() || !reachable[v] || id == source {
+                continue;
+            }
+            let mut cur = id;
+            let mut hops = 0usize;
+            loop {
+                let Some(p) = parents[cur.index()] else {
+                    return false; // a connected member is detached
+                };
+                if p.index() >= n
+                    || !alive[p.index()]
+                    || blacked_out[p.index()]
+                    || blacked_out[cur.index()]
+                    || !snapshot.are_neighbors(cur, p)
+                {
+                    return false; // dangling, dead, dark or out-of-range link
+                }
+                if p == source {
+                    break;
+                }
+                hops += 1;
+                if hops > n {
+                    return false; // parent-pointer cycle
+                }
+                cur = p;
+            }
+        }
+        true
+    }
+
+    /// One generated probe instant.
+    struct Case {
+        snapshot: TopologySnapshot,
+        parents: Vec<Option<NodeId>>,
+        alive: Vec<bool>,
+        blacked_out: Vec<bool>,
+        roles: Vec<GroupRole>,
+    }
+
+    /// A random instant over `n` nodes. Half the cases start from a shortest-hop tree
+    /// of the whole snapshot, so legitimate instants are common; the rest start from
+    /// random parents. A few pointers are then redrawn from `None`, self, a random id,
+    /// an id ≥ n, or a forced two- or three-node cycle, and alive and blackout masks,
+    /// roles with zero, one or two sources are drawn.
+    fn generate(seed: u64, n: usize) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let side = rng.gen_range(50.0..800.0);
+        let positions: Vec<Vec2> =
+            (0..n).map(|_| Vec2::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side))).collect();
+        let snapshot = TopologySnapshot::new(positions, rng.gen_range(10.0..400.0));
+
+        let mut roles = vec![GroupRole::NonMember; n];
+        let member_share = rng.gen_range(0.0..1.0);
+        for role in &mut roles {
+            if rng.gen_bool(member_share) {
+                *role = GroupRole::Member;
+            }
+        }
+        let sources = if n == 0 { 0 } else { [0, 1, 1, 1, 2][rng.gen_range(0..5usize)] };
+        for _ in 0..sources {
+            roles[rng.gen_range(0..n)] = GroupRole::Source;
+        }
+
+        let root = roles.iter().position(|r| r.is_source()).unwrap_or(0);
+        let mut parents: Vec<Option<NodeId>> = if n > 0 && rng.gen_bool(0.5) {
+            // Each node points one hop closer to `root`, if it can reach it at all.
+            let hops = snapshot.hop_distances(NodeId(root as u32));
+            snapshot
+                .nodes()
+                .map(|v| {
+                    let d = hops[v.index()]?;
+                    snapshot.neighbors(v).into_iter().find(|u| hops[u.index()] == d.checked_sub(1))
+                })
+                .collect()
+        } else {
+            (0..n).map(|_| random_parent(&mut rng, n)).collect()
+        };
+        if n > 0 {
+            for _ in 0..rng.gen_range(0..4usize) {
+                let v = rng.gen_range(0..n);
+                parents[v] = match rng.gen_range(0..6usize) {
+                    0 => None,
+                    1 => Some(NodeId(v as u32)),
+                    2 => Some(NodeId(rng.gen_range(0..n) as u32)),
+                    3 => Some(NodeId((n + rng.gen_range(0..3usize)) as u32)),
+                    _ => {
+                        // Close a cycle through two or three random nodes (a repeated
+                        // pick makes a shorter cycle or a self-pointer).
+                        let cycle: Vec<usize> =
+                            (0..rng.gen_range(2..4usize)).map(|_| rng.gen_range(0..n)).collect();
+                        for w in 0..cycle.len() {
+                            parents[cycle[w]] = Some(NodeId(cycle[(w + 1) % cycle.len()] as u32));
+                        }
+                        parents[v]
+                    }
+                };
+            }
+        }
+
+        let dead_share = [0.0, 0.0, 0.1, 0.3][rng.gen_range(0..4usize)];
+        let alive = (0..n).map(|_| !rng.gen_bool(dead_share)).collect();
+        let dark_share = [0.0, 0.0, 0.05, 0.2][rng.gen_range(0..4usize)];
+        let blacked_out = (0..n).map(|_| rng.gen_bool(dark_share)).collect();
+        Case { snapshot, parents, alive, blacked_out, roles }
+    }
+
+    fn random_parent(rng: &mut StdRng, n: usize) -> Option<NodeId> {
+        match rng.gen_range(0..4usize) {
+            0 => None,
+            3 => Some(NodeId((n + rng.gen_range(0..3usize)) as u32)),
+            _ => Some(NodeId(rng.gen_range(0..n) as u32)),
+        }
+    }
+
+    fn verdicts(case: &Case) -> (bool, bool) {
+        let Case { snapshot, parents, alive, blacked_out, roles } = case;
+        (
+            legitimate_over(snapshot, parents, alive, blacked_out, roles),
+            legitimate_over_bfs_first(snapshot, parents, alive, blacked_out, roles),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2048, ..ProptestConfig::default() })]
+
+        /// Chains first, reachability only after a broken chain: the same verdict as
+        /// reachability first on every generated instant.
+        #[test]
+        fn chains_first_matches_reachability_first(seed in 0u64..u64::MAX, n in 0usize..41) {
+            let (got, want) = verdicts(&generate(seed, n));
+            prop_assert_eq!(got, want, "seed {} n {}", seed, n);
+        }
+    }
+
+    /// The generator reaches the cases the two evaluation orders could disagree on:
+    /// legitimate and illegitimate instants, and legitimate ones that hold only because
+    /// a member with a broken chain is physically cut off from the source.
+    #[test]
+    fn generated_instants_cover_both_verdicts_and_exempt_broken_chains() {
+        let (mut legit, mut illegit, mut exempt) = (0, 0, 0);
+        for seed in 0..512u64 {
+            let case = generate(seed, 2 + (seed % 39) as usize);
+            let (got, want) = verdicts(&case);
+            assert_eq!(got, want, "seed {seed}");
+            if got {
+                legit += 1;
+                let Case { snapshot, parents, alive, blacked_out, roles } = &case;
+                let source = NodeId(roles.iter().position(|r| r.is_source()).unwrap() as u32);
+                exempt += usize::from((0..snapshot.len()).any(|v| {
+                    let id = NodeId(v as u32);
+                    alive[v]
+                        && roles[v].is_member()
+                        && id != source
+                        && !chain_reaches_source(snapshot, parents, alive, blacked_out, id, source)
+                }));
+            } else {
+                illegit += 1;
+            }
+        }
+        assert!(legit >= 50 && illegit >= 50, "{legit} legitimate, {illegit} illegitimate");
+        assert!(exempt >= 10, "only {exempt} legitimate instants exempt a broken chain");
     }
 }

@@ -913,11 +913,12 @@ impl<A: ProtocolAgent> NodeCore<A> {
 /// would otherwise allocate three fleet-sized vectors per probed instant).
 #[derive(Default)]
 pub(super) struct ProbeScratch {
-    /// Snapshot built for the latest probed instant, reused across the observer
-    /// notifications of a simultaneous fault burst (positions cannot change within one
-    /// timestamp, and a burst would otherwise rebuild the spatial index once per
-    /// corrupted node).
-    snapshot: Option<(SimTime, TopologySnapshot)>,
+    /// Snapshot of the latest probed instant `snapshot_at`, rebuilt in place when the
+    /// instant changes and reused across the observer notifications of a simultaneous
+    /// fault burst (positions cannot change within one timestamp, and a burst would
+    /// otherwise rebuild the spatial index once per corrupted node).
+    snapshot: TopologySnapshot,
+    snapshot_at: Option<SimTime>,
     parents: Vec<Option<NodeId>>,
     alive: Vec<bool>,
     blacked_out: Vec<bool>,
@@ -939,11 +940,11 @@ pub(super) fn observe<'a, A: ProtocolAgent, S: Seam<'a, A::Payload>>(
     }
     let setup = parts[0].1.setup();
     let (n, n_sessions) = (setup.n_nodes, setup.n_sessions());
-    if !matches!(&scratch.snapshot, Some((st, _)) if *st == t) {
-        let positions = parts[0].1.positions(t).to_vec();
-        scratch.snapshot = Some((t, TopologySnapshot::new(positions, setup.radio.max_range_m)));
+    if scratch.snapshot_at != Some(t) {
+        scratch.snapshot.rebuild(parts[0].1.positions(t), setup.radio.max_range_m);
+        scratch.snapshot_at = Some(t);
     }
-    let ProbeScratch { snapshot, parents, alive, blacked_out } = scratch;
+    let ProbeScratch { snapshot, parents, alive, blacked_out, .. } = scratch;
     parents.clear();
     parents.resize(n * n_sessions, None);
     alive.clear();
@@ -990,7 +991,7 @@ pub(super) fn observe<'a, A: ProtocolAgent, S: Seam<'a, A::Payload>>(
         .collect();
     let ctx = ProbeContext {
         now: t,
-        snapshot: &snapshot.as_ref().expect("primed above").1,
+        snapshot,
         sessions: &sessions,
         alive,
         blacked_out,

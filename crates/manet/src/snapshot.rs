@@ -13,8 +13,9 @@ use crate::geometry::Vec2;
 use crate::node::NodeId;
 use crate::spatial::SpatialIndex;
 
-/// A frozen view of node positions and the resulting neighbour graph.
-#[derive(Clone, Debug)]
+/// A frozen view of node positions and the resulting neighbour graph. The default value
+/// is the empty snapshot.
+#[derive(Clone, Debug, Default)]
 pub struct TopologySnapshot {
     positions: Vec<Vec2>,
     range_m: f64,
@@ -27,6 +28,15 @@ impl TopologySnapshot {
     pub fn new(positions: Vec<Vec2>, range_m: f64) -> Self {
         let index = SpatialIndex::build(&positions, range_m);
         TopologySnapshot { positions, range_m, index }
+    }
+
+    /// Rebuild in place over new positions and range, reusing this snapshot's buffers.
+    /// The result equals `TopologySnapshot::new(positions.to_vec(), range_m)`.
+    pub fn rebuild(&mut self, positions: &[Vec2], range_m: f64) {
+        self.positions.clear();
+        self.positions.extend_from_slice(positions);
+        self.range_m = range_m;
+        self.index.rebuild(&self.positions, range_m);
     }
 
     /// Number of nodes.
@@ -69,9 +79,22 @@ impl TopologySnapshot {
         out
     }
 
+    /// Call `visit` once for every neighbour of `n`, the set [`Self::neighbors`]
+    /// returns, in no particular order and without allocating.
+    pub fn for_each_neighbor(&self, n: NodeId, mut visit: impl FnMut(NodeId)) {
+        let center = self.positions[n.index()];
+        self.index.for_each_in_disc(center, self.range_m, &self.positions, |m| {
+            if m != n {
+                visit(m);
+            }
+        });
+    }
+
     /// Degree of node `n`.
     pub fn degree(&self, n: NodeId) -> usize {
-        self.neighbors(n).len()
+        let mut degree = 0;
+        self.for_each_neighbor(n, |_| degree += 1);
+        degree
     }
 
     /// Iterate over all node ids.
@@ -81,11 +104,7 @@ impl TopologySnapshot {
 
     /// True if the whole graph is connected (trivially true for 0 or 1 nodes).
     pub fn is_connected(&self) -> bool {
-        let n = self.positions.len();
-        if n <= 1 {
-            return true;
-        }
-        self.reachable_from(NodeId(0)).len() == n
+        self.hop_distances(NodeId(0)).iter().all(Option::is_some)
     }
 
     /// Breadth-first set of nodes reachable from `start` (including `start`).
@@ -123,12 +142,12 @@ impl TopologySnapshot {
         queue.push_back(start);
         while let Some(u) = queue.pop_front() {
             let du = dist[u.index()].unwrap();
-            for v in self.neighbors(u) {
+            self.for_each_neighbor(u, |v| {
                 if dist[v.index()].is_none() {
                     dist[v.index()] = Some(du + 1);
                     queue.push_back(v);
                 }
-            }
+            });
         }
         dist
     }
@@ -189,6 +208,27 @@ mod tests {
         for n in t.nodes() {
             let brute: Vec<NodeId> = t.nodes().filter(|&m| t.are_neighbors(n, m)).collect();
             assert_eq!(t.neighbors(n), brute, "node {n:?}");
+            let mut visited = Vec::new();
+            t.for_each_neighbor(n, |m| visited.push(m));
+            visited.sort_unstable();
+            assert_eq!(visited, brute, "visitor at node {n:?}");
+            assert_eq!(t.degree(n), brute.len());
         }
+    }
+
+    #[test]
+    fn rebuilding_in_place_matches_a_fresh_snapshot() {
+        let mut t = line();
+        let moved: Vec<Vec2> = (0..6).map(|i| Vec2::new(i as f64 * 70.0, 20.0)).collect();
+        t.rebuild(&moved, 100.0);
+        let fresh = TopologySnapshot::new(moved.clone(), 100.0);
+        assert_eq!(t.len(), 6);
+        assert_eq!(t.range(), 100.0);
+        for n in fresh.nodes() {
+            assert_eq!(t.position(n), fresh.position(n));
+            assert_eq!(t.neighbors(n), fresh.neighbors(n), "node {n:?}");
+        }
+        t.rebuild(&[], 100.0);
+        assert!(t.is_empty() && t.is_connected());
     }
 }

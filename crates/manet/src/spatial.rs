@@ -133,6 +133,24 @@ impl SpatialIndex {
     /// `positions` must be the buffer the index was built over.
     pub fn query_disc(&self, center: Vec2, radius: f64, positions: &[Vec2], out: &mut Vec<NodeId>) {
         out.clear();
+        self.for_each_in_disc(center, radius, positions, |id| out.push(id));
+        // Cells are visited row-major, so ids are sorted within but not across cells.
+        out.sort_unstable();
+    }
+
+    /// Call `visit` once for every node within `radius` of `center`, the same set
+    /// [`Self::query_disc`] returns, but in cell order rather than id order and without
+    /// allocating. For callers whose result does not depend on visit order
+    /// (reachability, counting).
+    ///
+    /// `positions` must be the buffer the index was built over.
+    pub fn for_each_in_disc(
+        &self,
+        center: Vec2,
+        radius: f64,
+        positions: &[Vec2],
+        mut visit: impl FnMut(NodeId),
+    ) {
         if self.cols == 0 || radius < 0.0 {
             return;
         }
@@ -150,13 +168,11 @@ impl SpatialIndex {
                 let (s, e) = (self.starts[c] as usize, self.starts[c + 1] as usize);
                 for &id in &self.items[s..e] {
                     if positions[id as usize].distance_sq(&center) <= r2 {
-                        out.push(NodeId(id));
+                        visit(NodeId(id));
                     }
                 }
             }
         }
-        // Cells are visited row-major, so ids are sorted within but not across cells.
-        out.sort_unstable();
     }
 }
 
@@ -202,6 +218,11 @@ mod tests {
             "disc({center:?}, r={radius}) over {} nodes, cell={cell}",
             positions.len()
         );
+        // The unsorted visitor sees the same set, each node once.
+        let mut visited = Vec::new();
+        index.for_each_in_disc(center, radius, positions, |id| visited.push(id));
+        visited.sort_unstable();
+        assert_eq!(visited, want, "visitor over disc({center:?}, r={radius}), cell={cell}");
     }
 
     #[test]
