@@ -9,8 +9,13 @@
 //! * **receiver queries** pick their method from the epoch. At a zero epoch a distinct
 //!   timestamp's positions typically serve a single broadcast, so the medium scans all
 //!   `n` nodes. At a non-zero epoch one uniform-grid [`SpatialIndex`] build (cell side =
-//!   maximum radio range) serves every query of the epoch, and a query inspects only the
-//!   cells overlapping its disc.
+//!   maximum radio range) serves every query of the epoch. The index copies the epoch's
+//!   positions into cell order, so a query reads only the contiguous runs of the cells
+//!   overlapping its disc.
+//!
+//! Both methods filter without a branch per candidate and drop the sender in the same
+//! pass. Link blackouts are checked per receiver only while one may still be active: the
+//! medium remembers the latest blackout horizon of any node.
 //!
 //! **Determinism.** Both methods apply the same `distance² ≤ r²` predicate to the same
 //! cached positions and return receivers in ascending [`NodeId`] order, so per-receiver
@@ -21,7 +26,7 @@
 use crate::geometry::Vec2;
 use crate::mobility::BoxedMobility;
 use crate::node::NodeId;
-use crate::spatial::SpatialIndex;
+use crate::spatial::{push_within, SpatialIndex};
 use serde::{Deserialize, Serialize};
 use ssmcast_dessim::{SimDuration, SimTime};
 
@@ -51,7 +56,7 @@ impl MediumConfig {
     }
 }
 
-/// Epoch-cached positions plus a spatial index over them.
+/// Epoch-cached positions plus a spatial index built from them.
 ///
 /// Owns the per-node mobility models. All position reads in the runtime flow through
 /// this type, so a timestamp's positions are computed once and shared by the protocol
@@ -72,6 +77,9 @@ pub struct RadioMedium {
     /// Per-node link-blackout horizon: until this instant the node neither delivers nor
     /// receives anything ([`SimTime::ZERO`] = no blackout). Driven by the fault layer.
     blackout_until: Vec<SimTime>,
+    /// The latest of all `blackout_until` horizons: from this instant on no node is
+    /// blacked out, so receiver queries skip the per-receiver check.
+    blackout_max: SimTime,
 }
 
 impl RadioMedium {
@@ -92,6 +100,7 @@ impl RadioMedium {
             index: SpatialIndex::default(),
             index_at: None,
             blackout_until,
+            blackout_max: SimTime::ZERO,
         }
     }
 
@@ -149,6 +158,7 @@ impl RadioMedium {
     pub fn set_blackout(&mut self, n: NodeId, until: SimTime) {
         let slot = &mut self.blackout_until[n.index()];
         *slot = (*slot).max(until);
+        self.blackout_max = self.blackout_max.max(until);
     }
 
     /// True while node `n`'s links are blacked out at time `t`.
@@ -174,20 +184,14 @@ impl RadioMedium {
         // query, which costs more than the scan it replaces.
         if self.config.position_epoch.is_zero() {
             out.clear();
-            let r2 = range * range;
-            for i in 0..self.positions.len() {
-                let id = NodeId(i as u32);
-                if id != sender
-                    && !self.is_blacked_out(id, t)
-                    && self.positions[i].distance_sq(&center) <= r2
-                {
-                    out.push(id);
-                }
-            }
+            let ids = 0..self.positions.len() as u32;
+            push_within(ids, &self.positions, center, range * range, Some(sender), out);
         } else {
             self.ensure_index(te);
-            self.index.query_disc(center, range, &self.positions, out);
-            out.retain(|&id| id != sender && !self.is_blacked_out(id, t));
+            self.index.query_disc(center, range, Some(sender), out);
+        }
+        if t < self.blackout_max {
+            out.retain(|&id| !self.is_blacked_out(id, t));
         }
     }
 
@@ -270,7 +274,7 @@ mod tests {
         assert_eq!(a.positions(t), b.positions(t));
     }
 
-    /// The reference the grid path must match: every node other than `sender` within
+    /// The reference both query paths must match: every node other than `sender` within
     /// `range` of `center`, scanned in id order.
     fn scan(positions: &[Vec2], sender: NodeId, center: Vec2, range: f64) -> Vec<NodeId> {
         let r2 = range * range;
@@ -281,25 +285,37 @@ mod tests {
     }
 
     #[test]
-    fn grid_receivers_match_a_scan_over_the_epoch_positions() {
-        // A non-zero epoch engages the spatial index.
-        let cfg = MediumConfig::default().with_epoch(SimDuration::from_millis(500));
-        let mut medium = RadioMedium::new(waypoint_fleet(40), cfg, 250.0);
+    fn receivers_match_a_scan_oracle_on_both_paths_with_past_and_active_blackouts() {
         let mut out = Vec::new();
-        for secs in [0u64, 5, 31, 60] {
-            let t = SimTime::from_secs(secs);
-            let positions = medium.positions(t).to_vec();
-            // Black out a neighbour of node 0 for one second: every query at `t` must
-            // drop it, and it is back by the next instant tested.
-            let dark = scan(&positions, NodeId(0), positions[0], 250.0)[0];
-            medium.set_blackout(dark, t + SimDuration::from_secs(1));
-            for sender in [NodeId(0), NodeId(7), NodeId(39)] {
-                let center = positions[sender.index()];
-                for range in [50.0, 150.0, 250.0] {
-                    medium.receivers_within(sender, center, range, t, &mut out);
-                    let mut want = scan(&positions, sender, center, range);
-                    want.retain(|&id| id != dark);
-                    assert_eq!(out, want, "t={secs} sender={sender:?} range={range}");
+        for epoch in [SimDuration::ZERO, SimDuration::from_millis(250)] {
+            let cfg = MediumConfig::default().with_epoch(epoch);
+            let mut medium = RadioMedium::new(waypoint_fleet(60), cfg, 250.0);
+            // Blackouts that end before the first query instant, so only the horizon
+            // check runs until the active ones below are set.
+            for n in [2u32, 11, 30] {
+                medium.set_blackout(NodeId(n), SimTime::from_secs(1));
+            }
+            let mut dark = Vec::new();
+            for (k, secs) in [3.0, 7.25, 12.5, 12.75, 40.0].into_iter().enumerate() {
+                let t = SimTime::from_secs_f64(secs);
+                let positions = medium.positions(t).to_vec();
+                if k == 2 {
+                    // From here on three nodes are dark until 13 s: two queries fall
+                    // inside the blackout, and the later ones after it.
+                    for n in [0u32, 5, 21] {
+                        medium.set_blackout(NodeId(n), SimTime::from_secs(13));
+                        dark.push(NodeId(n));
+                    }
+                }
+                let active = t < SimTime::from_secs(13);
+                for sender in [NodeId(0), NodeId(5), NodeId(17), NodeId(59)] {
+                    let center = positions[sender.index()];
+                    for range in [0.0, 120.0, 250.0, 2_000.0] {
+                        medium.receivers_within(sender, center, range, t, &mut out);
+                        let mut want = scan(&positions, sender, center, range);
+                        want.retain(|id| !(active && dark.contains(id)));
+                        assert_eq!(out, want, "epoch={epoch:?} t={secs} {sender:?} r={range}");
+                    }
                 }
             }
         }

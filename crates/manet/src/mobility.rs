@@ -167,6 +167,11 @@ impl Mobility for RandomWaypoint {
             let from = self.leg.to;
             let depart = self.leg.next_depart;
             self.leg = self.next_leg(from, depart);
+            if self.leg.next_depart <= depart {
+                // A leg that takes no time (a point-sized area and no pause) cannot
+                // advance the clock, so no later leg is ever reached: hold still.
+                self.leg.next_depart = f64::INFINITY;
+            }
         }
         if t <= self.leg.depart {
             self.leg.from

@@ -211,8 +211,8 @@ impl<'a, A: ProtocolAgent> Seam<'a, A::Payload> for Sharded<'a, A> {
         t: SimTime,
         out: &mut Vec<NodeId>,
     ) {
-        self.fz.index.query_disc(center, range, &self.fz.positions, out);
-        out.retain(|&id| id != sender && !self.is_blacked_out(id, t));
+        self.fz.index.query_disc(center, range, Some(sender), out);
+        out.retain(|&id| !self.is_blacked_out(id, t));
     }
 
     fn farthest_distance(&mut self, center: Vec2, ids: &[NodeId], _t: SimTime) -> f64 {

@@ -74,20 +74,14 @@ impl TopologySnapshot {
     /// All neighbours of `n`, in node-id order (grid-indexed range query).
     pub fn neighbors(&self, n: NodeId) -> Vec<NodeId> {
         let mut out = Vec::new();
-        self.index.query_disc(self.positions[n.index()], self.range_m, &self.positions, &mut out);
-        out.retain(|&m| m != n);
+        self.index.query_disc(self.positions[n.index()], self.range_m, Some(n), &mut out);
         out
     }
 
     /// Call `visit` once for every neighbour of `n`, the set [`Self::neighbors`]
     /// returns, in no particular order and without allocating.
-    pub fn for_each_neighbor(&self, n: NodeId, mut visit: impl FnMut(NodeId)) {
-        let center = self.positions[n.index()];
-        self.index.for_each_in_disc(center, self.range_m, &self.positions, |m| {
-            if m != n {
-                visit(m);
-            }
-        });
+    pub fn for_each_neighbor(&self, n: NodeId, visit: impl FnMut(NodeId)) {
+        self.index.for_each_in_disc(self.positions[n.index()], self.range_m, Some(n), visit);
     }
 
     /// Degree of node `n`.

@@ -26,9 +26,10 @@ const MAX_CELLS: usize = 1 << 18;
 
 /// A uniform bucket grid over a fixed set of positions.
 ///
-/// The index stores node ids only; positions are passed back in at query time, so the
-/// caller (normally [`crate::medium::RadioMedium`]) remains the single owner of the
-/// position buffer. Rebuilds reuse the internal allocations.
+/// The index keeps its own copy of the positions, stored next to the node ids in cell
+/// (CSR) order, so a query reads one contiguous `(id, position)` span per grid row
+/// instead of chasing ids into a buffer indexed by node. Rebuilds reuse the internal
+/// allocations.
 #[derive(Clone, Debug, Default)]
 pub struct SpatialIndex {
     origin: Vec2,
@@ -36,10 +37,13 @@ pub struct SpatialIndex {
     cell_h: f64,
     cols: usize,
     rows: usize,
-    /// CSR layout: `starts[c]..starts[c + 1]` indexes `items` for cell `c` (row-major).
+    /// CSR layout: `starts[c]..starts[c + 1]` indexes `items` and `points` for cell `c`
+    /// (row-major), so the cells of one grid row form one contiguous span.
     starts: Vec<u32>,
     /// Node ids grouped by cell, ascending within each cell.
     items: Vec<u32>,
+    /// `points[k]` is the position of node `items[k]`.
+    points: Vec<Vec2>,
     /// Scratch cursor reused across rebuilds.
     cursor: Vec<u32>,
 }
@@ -53,14 +57,16 @@ impl SpatialIndex {
         index
     }
 
-    /// Rebuild in place over a new position buffer, reusing allocations.
+    /// Rebuild in place over a new position buffer, reusing allocations. Node `i` is the
+    /// node at `positions[i]`; the index copies the positions it needs.
     pub fn rebuild(&mut self, positions: &[Vec2], cell_size: f64) {
         let n = positions.len();
+        self.items.clear();
+        self.points.clear();
         if n == 0 {
             self.cols = 0;
             self.rows = 0;
             self.starts.clear();
-            self.items.clear();
             return;
         }
         let cell = if cell_size.is_finite() && cell_size > 0.0 { cell_size } else { f64::MAX };
@@ -104,13 +110,15 @@ impl SpatialIndex {
         }
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.starts[..n_cells]);
-        self.items.clear();
         self.items.resize(n, 0);
+        self.points.resize(n, Vec2::ZERO);
         // Placing ids in ascending order keeps each cell's slice id-sorted (stable
         // counting sort).
         for (i, p) in positions.iter().enumerate() {
             let c = self.cell_of(p);
-            self.items[self.cursor[c] as usize] = i as u32;
+            let k = self.cursor[c] as usize;
+            self.items[k] = i as u32;
+            self.points[k] = *p;
             self.cursor[c] += 1;
         }
     }
@@ -128,67 +136,110 @@ impl SpatialIndex {
     }
 
     /// Collect every node within `radius` of `center` (including a node located exactly
-    /// at `center`, if any) into `out`, ascending by node id.
-    ///
-    /// `positions` must be the buffer the index was built over.
-    pub fn query_disc(&self, center: Vec2, radius: f64, positions: &[Vec2], out: &mut Vec<NodeId>) {
+    /// at `center`, if any) other than `except` into `out`, ascending by node id.
+    pub fn query_disc(
+        &self,
+        center: Vec2,
+        radius: f64,
+        except: Option<NodeId>,
+        out: &mut Vec<NodeId>,
+    ) {
         out.clear();
-        self.for_each_in_disc(center, radius, positions, |id| out.push(id));
-        // Cells are visited row-major, so ids are sorted within but not across cells.
+        let r2 = radius * radius;
+        self.for_each_row_span(center, radius, |s, e| {
+            push_within(
+                self.items[s..e].iter().copied(),
+                &self.points[s..e],
+                center,
+                r2,
+                except,
+                out,
+            );
+        });
+        // Rows are visited in order, so ids are sorted within each cell but not across
+        // cells.
         out.sort_unstable();
     }
 
-    /// Call `visit` once for every node within `radius` of `center`, the same set
-    /// [`Self::query_disc`] returns, but in cell order rather than id order and without
-    /// allocating. For callers whose result does not depend on visit order
-    /// (reachability, counting).
-    ///
-    /// `positions` must be the buffer the index was built over.
+    /// Call `visit` once for every node [`Self::query_disc`] would return, but in cell
+    /// order rather than id order and without allocating. For callers whose result does
+    /// not depend on visit order (reachability, counting).
     pub fn for_each_in_disc(
         &self,
         center: Vec2,
         radius: f64,
-        positions: &[Vec2],
+        except: Option<NodeId>,
         mut visit: impl FnMut(NodeId),
     ) {
+        let r2 = radius * radius;
+        self.for_each_row_span(center, radius, |s, e| {
+            for (&id, p) in self.items[s..e].iter().zip(&self.points[s..e]) {
+                if p.distance_sq(&center) <= r2 && Some(NodeId(id)) != except {
+                    visit(NodeId(id));
+                }
+            }
+        });
+    }
+
+    /// Call `span(s, e)` with the `items`/`points` range of each grid row's cells that
+    /// overlap the bounding box of the disc. The cells of one row are adjacent in CSR
+    /// order, so each row contributes one contiguous range.
+    fn for_each_row_span(&self, center: Vec2, radius: f64, mut span: impl FnMut(usize, usize)) {
         if self.cols == 0 || radius < 0.0 {
             return;
         }
-        debug_assert_eq!(positions.len(), self.items.len(), "index built over other positions");
-        let r2 = radius * radius;
         let lo_x = ((center.x - radius - self.origin.x) / self.cell_w).floor();
         let hi_x = ((center.x + radius - self.origin.x) / self.cell_w).floor();
         let lo_y = ((center.y - radius - self.origin.y) / self.cell_h).floor();
         let hi_y = ((center.y + radius - self.origin.y) / self.cell_h).floor();
-        let (cx0, cx1) = clamp_cell_range(lo_x, hi_x, self.cols);
-        let (cy0, cy1) = clamp_cell_range(lo_y, hi_y, self.rows);
+        let (Some((cx0, cx1)), Some((cy0, cy1))) =
+            (clamp_cell_range(lo_x, hi_x, self.cols), clamp_cell_range(lo_y, hi_y, self.rows))
+        else {
+            return;
+        };
         for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let c = cy * self.cols + cx;
-                let (s, e) = (self.starts[c] as usize, self.starts[c + 1] as usize);
-                for &id in &self.items[s..e] {
-                    if positions[id as usize].distance_sq(&center) <= r2 {
-                        visit(NodeId(id));
-                    }
-                }
-            }
+            let row = cy * self.cols;
+            span(self.starts[row + cx0] as usize, self.starts[row + cx1 + 1] as usize);
         }
     }
 }
 
-/// Clamp a floating cell span onto `[0, n)`; an empty range means the disc misses the
-/// grid entirely. Returns an empty-by-construction `(1, 0)` range in that case.
+/// Append to `out`, in order, every id of `ids` whose paired point lies within squared
+/// distance `r2` of `center`, skipping `except`.
+///
+/// Branch-free: each id is written unconditionally and the length advances by the
+/// predicate, so a hit rate near one half costs no mispredicted branches.
+pub(crate) fn push_within(
+    ids: impl Iterator<Item = u32>,
+    points: &[Vec2],
+    center: Vec2,
+    r2: f64,
+    except: Option<NodeId>,
+    out: &mut Vec<NodeId>,
+) {
+    // No node has id `u32::MAX`: ids index vectors of at most `u32::MAX` entries.
+    let skip = except.map_or(u32::MAX, |n| n.0);
+    let mut len = out.len();
+    out.resize(len + points.len(), NodeId(0));
+    for (id, p) in ids.zip(points) {
+        out[len] = NodeId(id);
+        len += usize::from((p.distance_sq(&center) <= r2) & (id != skip));
+    }
+    out.truncate(len);
+}
+
+/// Clamp a floating cell span onto `[0, n)`; `None` means the disc misses the grid.
 ///
 /// Points on the grid's max boundary have cell ratio exactly `n` but are stored in cell
 /// `n - 1` (the point→cell map clamps), so a span starting at exactly `n` must still
 /// inspect the last cell — only `lo > n` is truly off-grid.
-fn clamp_cell_range(lo: f64, hi: f64, n: usize) -> (usize, usize) {
+fn clamp_cell_range(lo: f64, hi: f64, n: usize) -> Option<(usize, usize)> {
     if hi < 0.0 || lo > n as f64 || hi < lo {
-        return (1, 0);
+        return None;
     }
     let lo = if lo <= 0.0 { 0 } else { (lo as usize).min(n - 1) };
     let hi = if hi >= (n - 1) as f64 { n - 1 } else { hi as usize };
-    (lo, hi)
+    Some((lo, hi))
 }
 
 #[cfg(test)]
@@ -199,44 +250,69 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     /// The reference implementation the index must match exactly.
-    fn brute_force(center: Vec2, radius: f64, positions: &[Vec2]) -> Vec<NodeId> {
+    fn brute_force(
+        center: Vec2,
+        radius: f64,
+        except: Option<NodeId>,
+        positions: &[Vec2],
+    ) -> Vec<NodeId> {
         let r2 = radius * radius;
         (0..positions.len() as u32)
             .map(NodeId)
-            .filter(|id| positions[id.index()].distance_sq(&center) <= r2)
+            .filter(|&id| Some(id) != except && positions[id.index()].distance_sq(&center) <= r2)
             .collect()
     }
 
     fn assert_matches_brute_force(positions: &[Vec2], cell: f64, center: Vec2, radius: f64) {
+        assert_matches_brute_force_excluding(positions, cell, center, radius, 0);
+    }
+
+    /// Compare both queries with the brute-force scan, with no exclusion, excluding the
+    /// `pick`-th id of the full result (inside it), and excluding an id outside it.
+    fn assert_matches_brute_force_excluding(
+        positions: &[Vec2],
+        cell: f64,
+        center: Vec2,
+        radius: f64,
+        pick: usize,
+    ) {
         let index = SpatialIndex::build(positions, cell);
-        let mut got = Vec::new();
-        index.query_disc(center, radius, positions, &mut got);
-        let want = brute_force(center, radius, positions);
-        assert_eq!(
-            got,
-            want,
-            "disc({center:?}, r={radius}) over {} nodes, cell={cell}",
-            positions.len()
-        );
-        // The unsorted visitor sees the same set, each node once.
-        let mut visited = Vec::new();
-        index.for_each_in_disc(center, radius, positions, |id| visited.push(id));
-        visited.sort_unstable();
-        assert_eq!(visited, want, "visitor over disc({center:?}, r={radius}), cell={cell}");
+        let all = brute_force(center, radius, None, positions);
+        let inside = all.get(pick % all.len().max(1)).copied();
+        let outside = (0..positions.len() as u32).map(NodeId).find(|id| !all.contains(id));
+        for except in [None, inside, outside, Some(NodeId(positions.len() as u32))] {
+            let want = brute_force(center, radius, except, positions);
+            let mut got = vec![NodeId(u32::MAX)];
+            index.query_disc(center, radius, except, &mut got);
+            assert_eq!(
+                got,
+                want,
+                "disc({center:?}, r={radius}) except {except:?} over {} nodes, cell={cell}",
+                positions.len()
+            );
+            // The unsorted visitor sees the same set, each node once.
+            let mut visited = Vec::new();
+            index.for_each_in_disc(center, radius, except, |id| visited.push(id));
+            visited.sort_unstable();
+            assert_eq!(
+                visited, want,
+                "visitor over disc({center:?}, r={radius}) except {except:?}"
+            );
+        }
     }
 
     #[test]
     fn empty_and_singleton() {
         let index = SpatialIndex::build(&[], 100.0);
         let mut out = vec![NodeId(9)];
-        index.query_disc(Vec2::ZERO, 50.0, &[], &mut out);
+        index.query_disc(Vec2::ZERO, 50.0, None, &mut out);
         assert!(out.is_empty());
 
         let pos = [Vec2::new(10.0, 10.0)];
         let index = SpatialIndex::build(&pos, 100.0);
-        index.query_disc(Vec2::ZERO, 50.0, &pos, &mut out);
+        index.query_disc(Vec2::ZERO, 50.0, None, &mut out);
         assert_eq!(out, vec![NodeId(0)]);
-        index.query_disc(Vec2::ZERO, 5.0, &pos, &mut out);
+        index.query_disc(Vec2::ZERO, 5.0, None, &mut out);
         assert!(out.is_empty());
     }
 
@@ -260,8 +336,8 @@ mod tests {
             let index = SpatialIndex::build(&positions, cell);
             assert_eq!(index.cell_count(), 1, "cell={cell}");
             let mut out = Vec::new();
-            index.query_disc(Vec2::new(45.0, 0.0), 25.0, &positions, &mut out);
-            assert_eq!(out, brute_force(Vec2::new(45.0, 0.0), 25.0, &positions));
+            index.query_disc(Vec2::new(45.0, 0.0), 25.0, None, &mut out);
+            assert_eq!(out, brute_force(Vec2::new(45.0, 0.0), 25.0, None, &positions));
         }
     }
 
@@ -271,7 +347,7 @@ mod tests {
         assert_matches_brute_force(&positions, 10.0, Vec2::new(5.0, 5.0), 0.0);
         let index = SpatialIndex::build(&positions, 10.0);
         let mut out = Vec::new();
-        index.query_disc(Vec2::new(5.0, 5.0), 0.0, &positions, &mut out);
+        index.query_disc(Vec2::new(5.0, 5.0), 0.0, None, &mut out);
         assert_eq!(out, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
     }
 
@@ -307,7 +383,7 @@ mod tests {
         }
         let index = SpatialIndex::build(&positions, cell);
         let mut out = Vec::new();
-        index.query_disc(Vec2::new(200.0, 200.0), cell, &positions, &mut out);
+        index.query_disc(Vec2::new(200.0, 200.0), cell, None, &mut out);
         assert_eq!(out.len(), 5, "centre + the 4-neighbour cross, nothing dropped");
     }
 
@@ -337,21 +413,55 @@ mod tests {
         let index = SpatialIndex::build(&positions, 1.0);
         assert!(index.cell_count() <= 4 * positions.len() + 64);
         let mut out = Vec::new();
-        index.query_disc(Vec2::ZERO, 6.0, &positions, &mut out);
+        index.query_disc(Vec2::ZERO, 6.0, None, &mut out);
         assert_eq!(out, vec![NodeId(0), NodeId(3)]);
+    }
+
+    #[test]
+    fn rebuilds_over_shrinking_and_growing_buffers_never_return_stale_nodes() {
+        // One index rebuilt over buffers of different lengths in turn: every answer must
+        // come from the latest buffer alone, never from a longer earlier one.
+        let mut rng = StdRng::seed_from_u64(31);
+        let mut index = SpatialIndex::default();
+        let mut out = Vec::new();
+        for n in [60usize, 5, 0, 1, 40, 3, 60, 2] {
+            let positions: Vec<Vec2> = (0..n)
+                .map(|_| Vec2::new(rng.gen_range(0.0..500.0), rng.gen_range(0.0..500.0)))
+                .collect();
+            index.rebuild(&positions, 100.0);
+            for center in [Vec2::new(250.0, 250.0), Vec2::ZERO, Vec2::new(500.0, 0.0)] {
+                for r in [0.0, 120.0, 1_000.0] {
+                    index.query_disc(center, r, None, &mut out);
+                    assert_eq!(out, brute_force(center, r, None, &positions), "n={n} r={r}");
+                    let mut seen = Vec::new();
+                    index.for_each_in_disc(center, r, None, |id| {
+                        seen.push((id, positions[id.index()]));
+                    });
+                    assert!(seen.iter().all(|&(id, _)| id.index() < n), "stale id at n={n}");
+                    assert!(
+                        seen.iter().all(|(_, p)| p.distance_sq(&center) <= r * r),
+                        "visited a node outside the disc at n={n}"
+                    );
+                }
+            }
+            // The whole-field disc returns every node of this buffer exactly once.
+            index.query_disc(Vec2::new(250.0, 250.0), 1_000.0, None, &mut out);
+            assert_eq!(out.len(), n);
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
         /// Random clouds: the index must return exactly the brute-force neighbour set for
-        /// arbitrary centres, radii and cell sizes.
+        /// arbitrary centres, radii and cell sizes, with and without an excluded id.
         #[test]
         fn random_clouds_match_brute_force(
             seed in 0u64..1_000,
             n in 1usize..80,
             cell in 10.0f64..400.0,
             radius in 0.0f64..900.0,
+            pick in 0usize..80,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let positions: Vec<Vec2> = (0..n)
@@ -359,7 +469,7 @@ mod tests {
                 .collect();
             let center =
                 Vec2::new(rng.gen_range(-200.0..950.0), rng.gen_range(-200.0..950.0));
-            assert_matches_brute_force(&positions, cell, center, radius);
+            assert_matches_brute_force_excluding(&positions, cell, center, radius, pick);
         }
 
         /// Positions snapped onto cell corners and edges: the adversarial case for an

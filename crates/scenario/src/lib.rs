@@ -37,8 +37,8 @@ pub mod sweep;
 pub use experiment::{derive_cell_seed, Experiment};
 pub use output::{figure_to_text, series_to_csv, series_to_markdown, write_figure_files};
 pub use presets::{
-    base_scenario_for, run_figure, run_figure_with_sink, run_single_cell, FigureId, FigureResult,
-    FigureSpec, SweptParameter,
+    base_scenario_for, run_figure, run_figure_with_sink, run_single_cell, scale_and_reps_from_env,
+    FigureId, FigureResult, FigureSpec, SweptParameter,
 };
 pub use protocol::{FnProtocol, Protocol, ProtocolRegistry, UnknownProtocol};
 pub use runner::{

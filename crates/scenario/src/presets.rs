@@ -492,6 +492,22 @@ pub struct FigureResult {
     pub series: Vec<Series>,
 }
 
+/// An example binary's `scale` and `reps` from `SSMCAST_SCALE` (a finite positive number)
+/// and `SSMCAST_REPS` (a positive integer), each the given default when unset. A set but
+/// invalid value exits the process with an error naming the variable.
+pub fn scale_and_reps_from_env(scale: f64, reps: usize) -> (f64, usize) {
+    fn knob<T: std::str::FromStr>(name: &str, default: T, want: &str, ok: fn(&T) -> bool) -> T {
+        let Ok(raw) = std::env::var(name) else { return default };
+        raw.trim().parse().ok().filter(ok).unwrap_or_else(|| {
+            eprintln!("error: {name}={raw:?} is not {want}");
+            std::process::exit(2)
+        })
+    }
+    let scale =
+        knob("SSMCAST_SCALE", scale, "a finite positive number", |s| *s > 0.0 && s.is_finite());
+    (scale, knob("SSMCAST_REPS", reps, "a positive integer", |r| *r > 0))
+}
+
 /// Regenerate one figure. `scale` shrinks the run length so the same code serves quick
 /// smoke tests (`scale ≈ 0.2`), the bench harness (`scale ≈ 1`) and paper-fidelity runs
 /// (`scale = 10`, i.e. 1800 simulated seconds). See `EXPERIMENTS.md` for the mapping.

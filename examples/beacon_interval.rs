@@ -7,9 +7,7 @@
 use ssmcast::scenario::{figure_to_text, run_figure_with_sink, FigureId, ProgressSink};
 
 fn main() {
-    let scale: f64 =
-        std::env::var("SSMCAST_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(0.5);
-    let reps: usize = std::env::var("SSMCAST_REPS").ok().and_then(|s| s.parse().ok()).unwrap_or(2);
+    let (scale, reps) = ssmcast::scenario::scale_and_reps_from_env(0.5, 2);
     for id in [FigureId::Fig10, FigureId::Fig11] {
         let mut progress = ProgressSink::stderr();
         let result = run_figure_with_sink(id, scale, reps, &mut progress);

@@ -18,9 +18,7 @@ use ssmcast::scenario::{
 };
 
 fn main() {
-    let scale: f64 =
-        std::env::var("SSMCAST_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(0.3);
-    let reps: usize = std::env::var("SSMCAST_REPS").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let (scale, reps) = ssmcast::scenario::scale_and_reps_from_env(0.3, 1);
 
     // Part 1 — offered load × MAC policy, one protocol above all three. The x axis is
     // the source rate in kbit/s; every policy faces the identical seeded world.

@@ -69,8 +69,7 @@ fn scenario(scale: f64) -> Scenario {
 }
 
 fn main() {
-    let scale: f64 =
-        std::env::var("SSMCAST_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0);
+    let (scale, _) = ssmcast::scenario::scale_and_reps_from_env(1.0, 1);
     let s = scenario(scale);
     println!(
         "perpetual harvest: n = {}, {:.1} h simulated, battery {} J, streaming metrics",

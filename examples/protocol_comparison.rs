@@ -18,9 +18,7 @@ use std::io::BufWriter;
 use std::path::Path;
 
 fn main() {
-    let scale: f64 =
-        std::env::var("SSMCAST_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(0.4);
-    let reps: usize = std::env::var("SSMCAST_REPS").ok().and_then(|s| s.parse().ok()).unwrap_or(1);
+    let (scale, reps) = ssmcast::scenario::scale_and_reps_from_env(0.4, 1);
     let out_dir = std::env::var("SSMCAST_OUT").unwrap_or_else(|_| "target/figures".to_string());
     std::fs::create_dir_all(&out_dir).expect("create output directory");
     for id in [FigureId::Fig12, FigureId::Fig13, FigureId::Fig14, FigureId::Fig15, FigureId::Fig16]

@@ -141,6 +141,19 @@ fn mobile_scenario_sanity_for_all_protocols() {
 }
 
 #[test]
+fn a_point_sized_area_runs_to_completion_with_finite_results() {
+    // Every node sits on one point: waypoint legs have zero length and take no time.
+    let mut s = Scenario::quick_test();
+    s.area_side_m = 0.0;
+    let protocol = ProtocolRegistry::with_builtins().lookup("SS-SPST-E").expect("built-in");
+    let r = run_protocol(&s, protocol.as_ref());
+    assert!(r.generated > 0, "the source sent nothing");
+    assert!((0.0..=1.0).contains(&r.pdr), "pdr = {}", r.pdr);
+    assert!(r.total_energy_j.is_finite() && r.total_energy_j > 0.0);
+    assert!(r.avg_delay_ms.is_finite());
+}
+
+#[test]
 fn figure_presets_produce_complete_series_at_smoke_scale() {
     // A tiny-scale pass over one velocity figure and one group-size figure: checks the
     // sweep plumbing end to end (cells × protocols × series) rather than the numbers.

@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssmcast::dessim::{SimDuration, SimTime};
 use ssmcast::manet::{
-    Area, GaussMarkov, GaussMarkovConfig, Mobility, RandomWaypoint, WaypointConfig,
+    Area, GaussMarkov, GaussMarkovConfig, Mobility, RandomWaypoint, Vec2, WaypointConfig,
 };
 
 proptest! {
@@ -114,4 +114,18 @@ proptest! {
             prop_assert_eq!(a.position_at(t), b.position_at(t));
         }
     }
+}
+
+/// A point-sized area gives zero-length legs and, with no pause, legs that take no time:
+/// the trajectory must hold still at the point instead of looping on legs forever.
+#[test]
+fn waypoint_on_a_point_sized_area_holds_still() {
+    let corner = Vec2::ZERO;
+    let cfg = WaypointConfig { area: Area::square(0.0), ..WaypointConfig::paper_default(10.0) };
+    let mut m = RandomWaypoint::new(cfg, corner, StdRng::seed_from_u64(3));
+    for secs in [0u64, 1, 60, 3_600] {
+        assert_eq!(m.position_at(SimTime::from_secs(secs)), corner, "t = {secs} s");
+    }
+    let mut random_start = RandomWaypoint::with_random_start(cfg, StdRng::seed_from_u64(4));
+    assert_eq!(random_start.position_at(SimTime::from_secs(1)), corner);
 }
