@@ -75,9 +75,9 @@ impl Battery {
     /// runtime attributes exactly this amount to the owning session, so per-session
     /// energy sums conserve the batteries' totals even across depletion.
     pub fn accept(&mut self, joules: f64, usage: EnergyUse) -> f64 {
-        if self.is_depleted() {
-            return 0.0;
-        }
+        // A depleted battery has nothing remaining, so `j` is zero and the sums below
+        // keep their bits: there is no branch on depletion for the fleet-wide drain
+        // pass to mispredict.
         let j = joules.max(0.0).min(self.remaining());
         self.consumed_j += j;
         match usage {

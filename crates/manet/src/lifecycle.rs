@@ -265,7 +265,9 @@ impl DutySchedule {
     }
 
     /// Time node `n`'s radio is scheduled awake within `[from, to)` (the whole span
-    /// when the schedule is off; zero when `to <= from`).
+    /// when the schedule is off; zero when `to <= from`). Inlined across crates: the
+    /// lifetime sampler's fleet-wide accrual pass calls it once per node.
+    #[inline]
     pub fn awake_between(&self, n: NodeId, from: SimTime, to: SimTime) -> SimDuration {
         if to <= from {
             return SimDuration::ZERO;

@@ -8,20 +8,31 @@
 //!   positions), and
 //! * **receiver queries** pick their method from the epoch. At a zero epoch a distinct
 //!   timestamp's positions typically serve a single broadcast, so the medium scans all
-//!   `n` nodes. At a non-zero epoch one uniform-grid [`SpatialIndex`] build (cell side =
-//!   maximum radio range) serves every query of the epoch. The index copies the epoch's
-//!   positions into cell order, so a query reads only the contiguous runs of the cells
-//!   overlapping its disc.
+//!   `n` nodes. At a non-zero epoch a uniform-grid [`SpatialIndex`] (cell side =
+//!   maximum radio range) answers them. The index copies the positions into cell order,
+//!   so a query reads only the contiguous runs of the cells overlapping its disc.
 //!
-//! Both methods filter without a branch per candidate and drop the sender in the same
-//! pass. Link blackouts are checked per receiver only while one may still be active: the
-//! medium remembers the latest blackout horizon of any node.
+//! **Reuse while the fleet holds still.** The first grid query of an epoch checks the
+//! index's own copy of the positions against the fresh ones, bit for bit. The index is
+//! rebuilt only when some node moved, and is otherwise kept across any number of epoch
+//! boundaries. Once it has stood across one boundary, each sender is answered from a
+//! *candidate list*: its first query fills the list with one maximum-range disc query,
+//! and later queries filter the list with the same `distance² ≤ r²` predicate over the
+//! same positions, so ranges below the maximum get exactly the disc query's answer. A
+//! rebuild discards every list at once. A fleet that moves every epoch rebuilds every
+//! epoch and never fills a list; a still one stops querying the grid once each sender
+//! has been heard. The check runs once per epoch, so the zero-epoch scan and the
+//! position reads pay nothing for it.
 //!
-//! **Determinism.** Both methods apply the same `distance² ≤ r²` predicate to the same
-//! cached positions and return receivers in ascending [`NodeId`] order, so per-receiver
-//! randomness (channel loss draws) is drawn in the same order either way. The position
-//! epoch *does* change physics (positions quantise to epoch starts), so it is a
-//! fidelity/performance knob, not a free optimisation.
+//! Every method filters without a branch per candidate and drops the sender in the same
+//! pass. Link blackouts are applied after the query, per receiver, and only while one
+//! may still be active: the medium remembers the latest blackout horizon of any node.
+//!
+//! **Determinism.** Every method applies the same `distance² ≤ r²` predicate to the
+//! same cached positions and returns receivers in ascending [`NodeId`] order, so
+//! per-receiver randomness (channel loss draws) is drawn in the same order either way.
+//! The position epoch *does* change physics for a moving fleet (positions quantise to
+//! epoch starts), so it is a fidelity/performance knob, not a free optimisation.
 
 use crate::geometry::Vec2;
 use crate::mobility::BoxedMobility;
@@ -29,6 +40,10 @@ use crate::node::NodeId;
 use crate::spatial::{push_within, SpatialIndex};
 use serde::{Deserialize, Serialize};
 use ssmcast_dessim::{SimDuration, SimTime};
+
+/// Candidate-list budget: the lists of a still fleet hold at most this many ids per node
+/// (plus one list). Typical densities need far fewer (about 13 in `perpetual_harvest`).
+const LIST_IDS_PER_NODE: usize = 64;
 
 /// Configuration of the radio medium layer.
 #[derive(Clone, Copy, PartialEq, Debug, Default, Serialize, Deserialize)]
@@ -73,7 +88,17 @@ pub struct RadioMedium {
     /// Epoch start of the last full refresh, if any.
     all_fresh_at: Option<SimTime>,
     index: SpatialIndex,
-    index_at: Option<SimTime>,
+    /// Epoch start the index was last built at. A query at a later epoch finds a fleet
+    /// that held still across an epoch boundary and answers from candidate lists.
+    index_at: SimTime,
+    /// Epoch start the index was last checked against the cached positions, if ever.
+    index_checked_at: Option<SimTime>,
+    /// Per sender, the `start..end` of its candidate list in `list_ids` (`None` until
+    /// its first list query). Empty while no list was filled since the last build.
+    lists: Vec<Option<(u32, u32)>>,
+    /// Every filled candidate list, back to back: each is the sender's maximum-range
+    /// disc over the current index, ascending.
+    list_ids: Vec<NodeId>,
     /// Per-node link-blackout horizon: until this instant the node neither delivers nor
     /// receives anything ([`SimTime::ZERO`] = no blackout). Driven by the fault layer.
     blackout_until: Vec<SimTime>,
@@ -98,7 +123,10 @@ impl RadioMedium {
             fresh_at,
             all_fresh_at: Some(SimTime::ZERO),
             index: SpatialIndex::default(),
-            index_at: None,
+            index_at: SimTime::ZERO,
+            index_checked_at: None,
+            lists: Vec::new(),
+            list_ids: Vec::new(),
             blackout_until,
             blackout_max: SimTime::ZERO,
         }
@@ -144,11 +172,49 @@ impl RadioMedium {
         self.all_fresh_at = Some(te);
     }
 
+    /// Once per epoch, rebuild the index unless it holds exactly the positions of epoch
+    /// `te` (which are fresh); a rebuild discards every candidate list.
     fn ensure_index(&mut self, te: SimTime) {
-        if self.index_at != Some(te) {
-            self.index.rebuild(&self.positions, self.cell_size);
-            self.index_at = Some(te);
+        if self.index_checked_at == Some(te) {
+            return;
         }
+        if !self.index.holds(&self.positions) {
+            self.index.rebuild(&self.positions, self.cell_size);
+            self.index_at = te;
+            self.lists.clear();
+            self.list_ids.clear();
+        }
+        self.index_checked_at = Some(te);
+    }
+
+    /// `sender`'s receivers within `range` (at most the cell size) from its candidate
+    /// list, filling the list with one maximum-range disc query first if needed.
+    fn receivers_from_list(&mut self, sender: NodeId, range: f64, out: &mut Vec<NodeId>) {
+        let (n, i) = (self.positions.len(), sender.index());
+        let center = self.positions[i];
+        if self.lists.is_empty() {
+            self.lists.resize(n, None);
+        }
+        // Lists stop one list past the budget, so however dense the fleet their memory
+        // stays O(n) and every span fits a `u32`; later senders are answered directly.
+        let budget = (LIST_IDS_PER_NODE * n).min(u32::MAX as usize - n);
+        let (start, end) = match self.lists[i] {
+            Some(span) => span,
+            None if self.list_ids.len() <= budget => {
+                self.index.query_disc(center, self.cell_size, Some(sender), out);
+                let start = self.list_ids.len() as u32;
+                self.list_ids.extend_from_slice(out);
+                let span = (start, self.list_ids.len() as u32);
+                self.lists[i] = Some(span);
+                span
+            }
+            None => return self.index.query_disc(center, range, Some(sender), out),
+        };
+        out.clear();
+        let candidates = &self.list_ids[start as usize..end as usize];
+        let positions = &self.positions;
+        let pairs = candidates.iter().map(|&id| (id.0, &positions[id.index()]));
+        push_within(pairs, center, range * range, Some(sender), out);
     }
 
     /// Black out node `n`'s links until `until`: while the blackout lasts the node is
@@ -166,29 +232,34 @@ impl RadioMedium {
         t < self.blackout_until[n.index()]
     }
 
-    /// Every node other than `sender` within `range` metres of `center`, in ascending
-    /// node-id order. Nodes in a link blackout at `t` are excluded. `center` must be
-    /// `sender`'s position at `t` (threaded through from the caller rather than
-    /// re-queried).
+    /// Every node other than `sender` within `range` metres of `sender`'s position at
+    /// (the epoch of) `t`, in ascending node-id order. Nodes in a link blackout at `t`
+    /// are excluded.
     pub fn receivers_within(
         &mut self,
         sender: NodeId,
-        center: Vec2,
         range: f64,
         t: SimTime,
         out: &mut Vec<NodeId>,
     ) {
         let te = self.epoch_start(t);
         self.refresh_all(te);
+        let center = self.positions[sender.index()];
         // A zero-epoch index would be rebuilt per timestamp for (typically) a single
         // query, which costs more than the scan it replaces.
         if self.config.position_epoch.is_zero() {
             out.clear();
-            let ids = 0..self.positions.len() as u32;
-            push_within(ids, &self.positions, center, range * range, Some(sender), out);
+            let pairs = (0..self.positions.len() as u32).zip(&self.positions);
+            push_within(pairs, center, range * range, Some(sender), out);
         } else {
             self.ensure_index(te);
-            self.index.query_disc(center, range, Some(sender), out);
+            // A list holds the maximum-range disc, so it serves any range up to the
+            // cell size. Only a fleet that held still since an earlier epoch fills one.
+            if self.index_at < te && (0.0..=self.cell_size).contains(&range) {
+                self.receivers_from_list(sender, range, out);
+            } else {
+                self.index.query_disc(center, range, Some(sender), out);
+            }
         }
         if t < self.blackout_max {
             out.retain(|&id| !self.is_blacked_out(id, t));
@@ -217,9 +288,9 @@ impl std::fmt::Debug for RadioMedium {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mobility::{RandomWaypoint, WaypointConfig};
+    use crate::mobility::{Mobility, RandomWaypoint, Stationary, WaypointConfig};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn waypoint_fleet(n: u64) -> Vec<BoxedMobility> {
         (0..n)
@@ -311,7 +382,7 @@ mod tests {
                 for sender in [NodeId(0), NodeId(5), NodeId(17), NodeId(59)] {
                     let center = positions[sender.index()];
                     for range in [0.0, 120.0, 250.0, 2_000.0] {
-                        medium.receivers_within(sender, center, range, t, &mut out);
+                        medium.receivers_within(sender, range, t, &mut out);
                         let mut want = scan(&positions, sender, center, range);
                         want.retain(|id| !(active && dark.contains(id)));
                         assert_eq!(out, want, "epoch={epoch:?} t={secs} {sender:?} r={range}");
@@ -319,5 +390,109 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A node that sits at `home` until `jump_at`, then at `away`.
+    struct Jumper {
+        home: Vec2,
+        away: Vec2,
+        jump_at: SimTime,
+    }
+
+    impl Mobility for Jumper {
+        fn position_at(&mut self, t: SimTime) -> Vec2 {
+            if t < self.jump_at {
+                self.home
+            } else {
+                self.away
+            }
+        }
+    }
+
+    /// 40 still nodes on a 600 m square plus node 40, which jumps across it at 1.5 s.
+    fn jumping_fleet() -> Vec<BoxedMobility> {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut fleet: Vec<BoxedMobility> = (0..40)
+            .map(|_| {
+                let p = Vec2::new(rng.gen_range(0.0..600.0), rng.gen_range(0.0..600.0));
+                Box::new(Stationary::new(p)) as BoxedMobility
+            })
+            .collect();
+        fleet.push(Box::new(Jumper {
+            home: Vec2::new(20.0, 30.0),
+            away: Vec2::new(580.0, 560.0),
+            jump_at: SimTime::from_secs_f64(1.5),
+        }));
+        fleet
+    }
+
+    #[test]
+    fn candidate_lists_match_a_scan_oracle_across_holds_and_a_jump() {
+        let cfg = MediumConfig::default().with_epoch(SimDuration::from_millis(250));
+        let mut medium = RadioMedium::new(jumping_fleet(), cfg, 250.0);
+        let mut oracle = jumping_fleet();
+        let jumper = NodeId(40);
+        let dark = [NodeId(3), jumper];
+        let dark_until = SimTime::from_secs_f64(2.3);
+        let mut out = Vec::new();
+        let mut listed = 0;
+        for secs in [0.1, 0.3, 0.4, 0.6, 1.1, 1.4, 1.7, 1.8, 2.1, 2.4, 2.9, 3.6] {
+            let t = SimTime::from_secs_f64(secs);
+            if secs == 1.1 {
+                // Dark across the last held epoch, the jump and the second hold's start.
+                for n in dark {
+                    medium.set_blackout(n, dark_until);
+                }
+            }
+            let te = SimTime::from_nanos(t.as_nanos() / 250_000_000 * 250_000_000);
+            let positions: Vec<Vec2> = oracle.iter_mut().map(|m| m.position_at(te)).collect();
+            // A lazy read refreshes the jumper before the query's full refresh.
+            assert_eq!(medium.position_of(jumper, t), positions[jumper.index()]);
+            let active = secs >= 1.1 && t < dark_until;
+            for sender in [NodeId(0), NodeId(3), NodeId(17), jumper] {
+                for range in [0.0, 90.0, 180.0, 250.0, 900.0] {
+                    medium.receivers_within(sender, range, t, &mut out);
+                    let center = positions[sender.index()];
+                    let mut want = scan(&positions, sender, center, range);
+                    want.retain(|id| !(active && dark.contains(id)));
+                    assert_eq!(out, want, "t={secs} {sender:?} r={range}");
+                }
+            }
+            listed += usize::from(!medium.lists.is_empty());
+            // The jump rebuilds the index at 1.5 s; the fleet is still before and after.
+            let built_at = if secs < 1.5 { 0.0 } else { 1.5 };
+            assert_eq!(medium.index_at, SimTime::from_secs_f64(built_at), "t={secs}");
+        }
+        // Lists served every query of both holds after their first epoch.
+        assert_eq!(listed, 10);
+    }
+
+    #[test]
+    fn a_dense_still_fleet_stops_filling_lists_at_the_budget() {
+        // 200 nodes on a 100 m square all hear each other: 199 ids a list, so the
+        // budget of 64 ids a node is spent after 65 senders.
+        let mut rng = StdRng::seed_from_u64(3);
+        let fleet: Vec<BoxedMobility> = (0..200)
+            .map(|_| {
+                let p = Vec2::new(rng.gen_range(0.0..100.0), rng.gen_range(0.0..100.0));
+                Box::new(Stationary::new(p)) as BoxedMobility
+            })
+            .collect();
+        let cfg = MediumConfig::default().with_epoch(SimDuration::from_millis(250));
+        let mut medium = RadioMedium::new(fleet, cfg, 250.0);
+        let mut out = Vec::new();
+        for secs in [0.1, 0.3, 0.6] {
+            let t = SimTime::from_secs_f64(secs);
+            let positions = medium.positions(t).to_vec();
+            for sender in (0..200).map(NodeId) {
+                for range in [40.0, 250.0] {
+                    medium.receivers_within(sender, range, t, &mut out);
+                    let want = scan(&positions, sender, positions[sender.index()], range);
+                    assert_eq!(out, want, "t={secs} {sender:?} r={range}");
+                }
+            }
+        }
+        assert_eq!(medium.lists.iter().flatten().count(), 65);
+        assert_eq!(medium.list_ids.len(), 65 * 199);
     }
 }

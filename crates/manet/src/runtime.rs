@@ -297,15 +297,8 @@ impl<'a, P> Seam<'a, P> for Sequential<'a, P> {
         self.medium.set_blackout(node, until);
     }
 
-    fn receivers_within(
-        &mut self,
-        sender: NodeId,
-        center: Vec2,
-        range: f64,
-        t: SimTime,
-        out: &mut Vec<NodeId>,
-    ) {
-        self.medium.receivers_within(sender, center, range, t, out);
+    fn receivers_within(&mut self, sender: NodeId, range: f64, t: SimTime, out: &mut Vec<NodeId>) {
+        self.medium.receivers_within(sender, range, t, out);
     }
 
     fn farthest_distance(&mut self, center: Vec2, ids: &[NodeId], t: SimTime) -> f64 {
@@ -701,6 +694,7 @@ fn probe_epoch(observer: &dyn StabilizationObserver) -> SimDuration {
 mod tests {
     use super::*;
     use crate::agent::{Disposition, NodeCtx};
+    use crate::battery::EnergyUse;
     use crate::mobility::Stationary;
     use crate::node::GroupId;
     use crate::session::MembershipEvent;
@@ -1453,5 +1447,84 @@ mod tests {
         sim.run_probed(SimDuration::from_secs(5), &mut obs);
         assert!(!obs.seen.is_empty());
         assert!(obs.seen.iter().all(|&n| n == 2));
+    }
+
+    /// A fleet of `n` stationary nodes in one of every continuous-drain configuration,
+    /// its batteries and accrual horizons set to every state the accrual pass must
+    /// handle: full, partly drained, about to run exactly dry, exactly depleted, empty
+    /// from the start and unlimited, each accrued up to zero, half of `t` and `t`.
+    fn drain_fleet(idle_w: f64, sleep_w: f64, duty: bool, t: SimTime) -> NetworkSim<Flood> {
+        let n = 36;
+        let (mut setup, mobility) = line_setup(n, 200.0);
+        setup.battery_capacity_j = 3.0;
+        setup.lifecycle = setup.lifecycle.with_idle_power(idle_w, sleep_w);
+        if duty {
+            let period = SimDuration::from_millis(700);
+            setup.lifecycle.duty_cycle = crate::lifecycle::DutyCycleConfig::new(period, 0.3);
+        }
+        // Equal harvest rates give every death the same wake delay, so the order the
+        // wakes pop in is the order the deaths were noted in.
+        setup.harvest = HarvestConfig::on(0.5, 0.5, 0.2);
+        let mut sim = NetworkSim::new(setup, mobility, (0..n).map(|_| Flood::new()).collect());
+        let core = &mut sim.core;
+        for li in 0..n {
+            let mut battery = Battery::with_capacity(3.0);
+            match li % 6 {
+                0 => {}
+                1 => _ = battery.accept(1.7, EnergyUse::TxData),
+                // 2 J left: exactly 4 s of 0.5 W idle listening.
+                2 => _ = battery.accept(1.0, EnergyUse::RxData),
+                3 => _ = battery.drain(3.0),
+                4 => battery = Battery::with_capacity(0.0),
+                _ => battery = Battery::unlimited(),
+            }
+            core.death_at[li] = battery.is_depleted().then_some(SimTime::ZERO);
+            core.batteries[li] = battery;
+            core.accrued_until[li] =
+                [SimTime::ZERO, SimTime::from_nanos(t.as_nanos() / 2), t][li / 6 % 3];
+        }
+        sim
+    }
+
+    #[test]
+    fn accrue_all_matches_per_node_accrual_to_the_bit() {
+        let t = SimTime::from_secs(4);
+        for (idle_w, sleep_w) in [(0.5, 0.0), (0.0, 0.25), (0.5, 0.25)] {
+            for duty in [false, true] {
+                let label = format!("idle {idle_w} W, sleep {sleep_w} W, duty {duty}");
+                let mut pass = drain_fleet(idle_w, sleep_w, duty, t);
+                let mut each = drain_fleet(idle_w, sleep_w, duty, t);
+                let (core, mut s, _, _) = pass.parts();
+                let alive = core.accrue_all(&mut s, t);
+                let (core, mut s, _, _) = each.parts();
+                for li in 0..core.owned.len() {
+                    core.accrue_idle(&mut s, li, t);
+                }
+                let (a, b) = (&pass.core, &each.core);
+                for (li, (x, y)) in a.batteries.iter().zip(&b.batteries).enumerate() {
+                    assert_eq!(format!("{x:?}"), format!("{y:?}"), "{label}: node {li}");
+                }
+                let live = b.batteries.iter().filter(|b| !b.is_depleted()).count() as u64;
+                assert_eq!(alive, live, "{label}");
+                assert_eq!(a.accrued_until, b.accrued_until, "{label}");
+                assert_eq!(a.death_at, b.death_at, "{label}");
+                assert_eq!(a.first_depletion, b.first_depletion, "{label}");
+                let wakes = |sim: &mut NetworkSim<Flood>| {
+                    std::iter::from_fn(|| sim.sim.pop_next())
+                        .filter_map(|(at, ev)| match ev {
+                            NetEvent::HarvestWake { node } => Some((at, node)),
+                            _ => None,
+                        })
+                        .collect::<Vec<_>>()
+                };
+                let woken = wakes(&mut pass);
+                assert_eq!(woken, wakes(&mut each), "{label}: deaths noted in another order");
+                if idle_w > 0.0 && !duty {
+                    // Nodes 1 and 19 run dry, 2 and 20 exactly so.
+                    let nodes: Vec<u32> = woken.iter().map(|&(_, node)| node.0).collect();
+                    assert_eq!(nodes, [1, 2, 19, 20], "{label}");
+                }
+            }
+        }
     }
 }

@@ -35,7 +35,7 @@ use crate::channel::Channel;
 use crate::faults::{FaultKind, ProbeContext, SessionProbe, StabilizationObserver};
 use crate::geometry::Vec2;
 use crate::harvest::HarvestPlan;
-use crate::lifecycle::DutySchedule;
+use crate::lifecycle::{DutySchedule, LifecycleConfig};
 use crate::mac::{MacDecision, MacFrame, MacPolicy};
 use crate::node::{GroupRole, NodeId};
 use crate::packet::{DataTag, Packet, PacketClass};
@@ -105,16 +105,9 @@ pub(super) trait Seam<'a, P> {
     fn is_blacked_out(&self, node: NodeId, t: SimTime) -> bool;
     /// Black out `node`'s links until `until` (a longer existing blackout stays).
     fn black_out(&mut self, node: NodeId, until: SimTime);
-    /// Every node other than `sender` within `range` of `center` at `t`, ascending node
-    /// id, blacked-out nodes excluded.
-    fn receivers_within(
-        &mut self,
-        sender: NodeId,
-        center: Vec2,
-        range: f64,
-        t: SimTime,
-        out: &mut Vec<NodeId>,
-    );
+    /// Every node other than `sender` within `range` of `sender`'s position at `t`,
+    /// ascending node id, blacked-out nodes excluded.
+    fn receivers_within(&mut self, sender: NodeId, range: f64, t: SimTime, out: &mut Vec<NodeId>);
     /// Greatest distance from `center` to any node in `ids` at `t` (0 when empty).
     fn farthest_distance(&mut self, center: Vec2, ids: &[NodeId], t: SimTime) -> f64;
 }
@@ -307,45 +300,64 @@ impl<A: ProtocolAgent> NodeCore<A> {
         }
     }
 
-    /// Accrue local node `li`'s continuous idle-listen / sleep drain up to `t`. The
-    /// drain is piecewise-linear over the duty-cycle schedule, so accruing lazily at
-    /// event and sample instants books exactly the same joules as accruing continuously;
-    /// a node whose battery runs dry between packets is observed dead at the next
-    /// instant anything (an event, a probe, a lifetime sample) looks at it.
-    fn accrue_idle<'a, S: Seam<'a, A::Payload>>(&mut self, s: &mut S, li: usize, t: SimTime) {
-        let lc = s.setup().lifecycle;
-        if !lc.has_continuous_drain() {
-            return;
-        }
+    /// Book local node `li`'s continuous idle-listen / sleep drain from its accrual
+    /// horizon up to `t` and advance the horizon; true when this ran the battery dry.
+    /// The drain is piecewise-linear over the duty-cycle schedule, so accruing lazily at
+    /// event and sample instants books exactly the same joules as accruing continuously.
+    /// An empty span or a depleted battery books `+0.0`, which leaves every total's bits
+    /// unchanged, so callers need no branch on either.
+    fn book_drain(&mut self, lc: &LifecycleConfig, li: usize, t: SimTime) -> bool {
         let from = self.accrued_until[li];
-        if t <= from {
-            return;
-        }
-        self.accrued_until[li] = t;
-        if self.batteries[li].is_depleted() {
-            return;
-        }
+        self.accrued_until[li] = from.max(t);
         let awake = self.duty.awake_between(NodeId(self.owned[li]), from, t);
         let asleep = t.saturating_since(from) - awake;
+        let battery = &mut self.batteries[li];
+        let was_depleted = battery.is_depleted();
         if lc.idle_listen_w > 0.0 {
-            self.batteries[li]
-                .accept(lc.idle_listen_w * awake.as_secs_f64(), EnergyUse::IdleListen);
+            battery.accept(lc.idle_listen_w * awake.as_secs_f64(), EnergyUse::IdleListen);
         }
         if lc.sleep_w > 0.0 {
-            self.batteries[li].accept(lc.sleep_w * asleep.as_secs_f64(), EnergyUse::Sleep);
+            battery.accept(lc.sleep_w * asleep.as_secs_f64(), EnergyUse::Sleep);
         }
-        self.note_death(s, li, t);
+        battery.is_depleted() & !was_depleted
     }
 
-    /// Accrue every owned node's continuous drain up to `t` (probes and lifetime
-    /// samples need the whole fleet's liveness to be current).
-    pub(super) fn accrue_all<'a, S: Seam<'a, A::Payload>>(&mut self, s: &mut S, t: SimTime) {
-        if !s.setup().lifecycle.has_continuous_drain() {
-            return;
+    /// Accrue local node `li`'s continuous drain up to `t`. A node whose battery runs
+    /// dry between packets is observed dead at the next instant anything (an event, a
+    /// probe, a lifetime sample) looks at it.
+    pub(super) fn accrue_idle<'a, S: Seam<'a, A::Payload>>(
+        &mut self,
+        s: &mut S,
+        li: usize,
+        t: SimTime,
+    ) {
+        let lc = s.setup().lifecycle;
+        if lc.has_continuous_drain() && self.book_drain(&lc, li, t) {
+            self.note_death(s, li, t);
         }
+    }
+
+    /// Accrue every owned node's continuous drain up to `t` in one pass (probes and
+    /// lifetime samples need the whole fleet's liveness to be current) and return how
+    /// many owned batteries are not depleted afterwards. Books and notes deaths exactly
+    /// as [`Self::accrue_idle`] on each node in ascending order would: the nodes that
+    /// ran dry are noted after the pass, ascending, since noting touches no battery.
+    pub(super) fn accrue_all<'a, S: Seam<'a, A::Payload>>(&mut self, s: &mut S, t: SimTime) -> u64 {
+        let lc = s.setup().lifecycle;
+        if !lc.has_continuous_drain() {
+            return self.batteries.iter().filter(|b| !b.is_depleted()).count() as u64;
+        }
+        let (mut alive, mut ran_dry) = (0, Vec::new());
         for li in 0..self.owned.len() {
-            self.accrue_idle(s, li, t);
+            if self.book_drain(&lc, li, t) {
+                ran_dry.push(li);
+            }
+            alive += u64::from(!self.batteries[li].is_depleted());
         }
+        for li in ran_dry {
+            self.note_death(s, li, t);
+        }
+        alive
     }
 
     /// Bucket one control transmission into the steady or recovery phase.
@@ -606,7 +618,7 @@ impl<A: ProtocolAgent> NodeCore<A> {
         // transmission by its farthest actual receiver.
         let sender_pos = sender_pos.unwrap_or_else(|| s.position(sender, t));
         let mut receivers = std::mem::take(&mut self.scratch_receivers);
-        s.receivers_within(sender, sender_pos, range, t, &mut receivers);
+        s.receivers_within(sender, range, t, &mut receivers);
         let tx_end = tx_start + radio.tx_duration(size_bytes);
         let delivery_at = tx_start + radio.delivery_delay(size_bytes);
         let lc = s.setup().lifecycle;
@@ -1042,8 +1054,7 @@ impl Curves {
     ) {
         let (mut alive, mut delivered, mut expected) = (0u64, 0u64, 0u64);
         for (core, s) in parts.iter_mut() {
-            core.accrue_all(s, t);
-            alive += core.batteries.iter().filter(|b| !b.is_depleted()).count() as u64;
+            alive += core.accrue_all(s, t);
             delivered += core.traces.iter().map(Trace::delivered_count).sum::<u64>();
             expected += core.traces.iter().map(Trace::expected_deliveries).sum::<u64>();
         }

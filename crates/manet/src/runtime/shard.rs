@@ -203,14 +203,8 @@ impl<'a, A: ProtocolAgent> Seam<'a, A::Payload> for Sharded<'a, A> {
         self.shared.blackout_until[node.index()].fetch_max(until.as_nanos(), Ordering::Relaxed);
     }
 
-    fn receivers_within(
-        &mut self,
-        sender: NodeId,
-        center: Vec2,
-        range: f64,
-        t: SimTime,
-        out: &mut Vec<NodeId>,
-    ) {
+    fn receivers_within(&mut self, sender: NodeId, range: f64, t: SimTime, out: &mut Vec<NodeId>) {
+        let center = self.fz.positions[sender.index()];
         self.fz.index.query_disc(center, range, Some(sender), out);
         out.retain(|&id| !self.is_blacked_out(id, t));
     }

@@ -130,6 +130,15 @@ impl SpatialIndex {
         cy * self.cols + cx
     }
 
+    /// True when the index was built over exactly `positions`, bit for bit, so a
+    /// rebuild over them would change nothing.
+    pub(crate) fn holds(&self, positions: &[Vec2]) -> bool {
+        let same =
+            |a: &Vec2, b: &Vec2| a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits();
+        self.items.len() == positions.len()
+            && self.items.iter().zip(&self.points).all(|(&id, p)| same(p, &positions[id as usize]))
+    }
+
     /// Number of grid cells (for tests and diagnostics).
     pub fn cell_count(&self) -> usize {
         self.cols * self.rows
@@ -147,14 +156,8 @@ impl SpatialIndex {
         out.clear();
         let r2 = radius * radius;
         self.for_each_row_span(center, radius, |s, e| {
-            push_within(
-                self.items[s..e].iter().copied(),
-                &self.points[s..e],
-                center,
-                r2,
-                except,
-                out,
-            );
+            let pairs = self.items[s..e].iter().copied().zip(&self.points[s..e]);
+            push_within(pairs, center, r2, except, out);
         });
         // Rows are visited in order, so ids are sorted within each cell but not across
         // cells.
@@ -204,14 +207,13 @@ impl SpatialIndex {
     }
 }
 
-/// Append to `out`, in order, every id of `ids` whose paired point lies within squared
+/// Append to `out`, in order, every id of `pairs` whose paired point lies within squared
 /// distance `r2` of `center`, skipping `except`.
 ///
 /// Branch-free: each id is written unconditionally and the length advances by the
 /// predicate, so a hit rate near one half costs no mispredicted branches.
-pub(crate) fn push_within(
-    ids: impl Iterator<Item = u32>,
-    points: &[Vec2],
+pub(crate) fn push_within<'p>(
+    pairs: impl ExactSizeIterator<Item = (u32, &'p Vec2)>,
     center: Vec2,
     r2: f64,
     except: Option<NodeId>,
@@ -220,8 +222,8 @@ pub(crate) fn push_within(
     // No node has id `u32::MAX`: ids index vectors of at most `u32::MAX` entries.
     let skip = except.map_or(u32::MAX, |n| n.0);
     let mut len = out.len();
-    out.resize(len + points.len(), NodeId(0));
-    for (id, p) in ids.zip(points) {
+    out.resize(len + pairs.len(), NodeId(0));
+    for (id, p) in pairs {
         out[len] = NodeId(id);
         len += usize::from((p.distance_sq(&center) <= r2) & (id != skip));
     }
@@ -314,6 +316,22 @@ mod tests {
         assert_eq!(out, vec![NodeId(0)]);
         index.query_disc(Vec2::ZERO, 5.0, None, &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn an_index_holds_exactly_the_bits_it_was_built_over() {
+        let mut positions: Vec<Vec2> =
+            (0..30).map(|i| Vec2::new((i % 6) as f64 * 90.0, (i / 6) as f64 * 70.0)).collect();
+        let index = SpatialIndex::build(&positions, 250.0);
+        assert!(index.holds(&positions));
+        assert!(!SpatialIndex::default().holds(&positions));
+        assert!(!index.holds(&positions[1..]));
+        // Node 0 sits at (0, 0): a sign flip of one coordinate is a change of bits.
+        positions[0].x = -0.0;
+        assert!(!index.holds(&positions));
+        positions[0].x = 0.0;
+        positions[17].y += 1e-9;
+        assert!(!index.holds(&positions));
     }
 
     #[test]
