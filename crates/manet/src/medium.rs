@@ -392,6 +392,28 @@ mod tests {
         }
     }
 
+    #[test]
+    fn blackouts_end_at_their_own_horizons_and_none_outlives_the_latest() {
+        let mut medium = RadioMedium::new(waypoint_fleet(6), MediumConfig::default(), 250.0);
+        let (a, b) = (NodeId(1), NodeId(4));
+        let (two, five) = (SimTime::from_secs(2), SimTime::from_secs(5));
+        assert!((0..6).all(|n| !medium.is_blacked_out(NodeId(n), SimTime::ZERO)));
+        medium.set_blackout(a, two);
+        medium.set_blackout(b, five);
+        let just_before = |t: SimTime| SimTime::from_nanos(t.as_nanos() - 1);
+        assert!(medium.is_blacked_out(a, SimTime::ZERO));
+        assert!(medium.is_blacked_out(a, just_before(two)));
+        assert!(!medium.is_blacked_out(a, two));
+        assert!(!medium.is_blacked_out(a, SimTime::from_secs(3)));
+        for t in [SimTime::ZERO, two, SimTime::from_secs(3), just_before(five)] {
+            assert!(medium.is_blacked_out(b, t), "B is dark at {t:?}");
+            assert!(!medium.is_blacked_out(NodeId(0), t), "node 0 was never dark");
+        }
+        for t in [five, SimTime::from_secs(6), SimTime::from_secs(1_000)] {
+            assert!((0..6).all(|n| !medium.is_blacked_out(NodeId(n), t)), "all lit at {t:?}");
+        }
+    }
+
     /// A node that sits at `home` until `jump_at`, then at `away`.
     struct Jumper {
         home: Vec2,

@@ -37,34 +37,48 @@ pub struct DataTag {
 /// at 0 and step by 1: the application's [`DataTag::seq`], a leader's hello sequence or
 /// a source's query sequence. Its memory is one bit per sequence up to the largest
 /// inserted, so a set holding `0..n` takes ⌈n/64⌉ words, against one hash entry per
-/// sequence for a `HashSet<u64>`. A sparse or random key (say `1 << 40`) would allocate
-/// every word below it; such keys belong in a hash set.
+/// sequence for a `HashSet<u64>`. The first word (sequences 0–63) lives inline in the
+/// struct, so a lookup reads no second allocation and a set that never passes sequence
+/// 63 never allocates; only later words go to the heap. A sparse or random key (say
+/// `1 << 40`) would allocate every word below it; such keys belong in a hash set.
 #[derive(Clone, Debug, Default)]
 pub struct SeqSet {
-    words: Vec<u64>,
+    /// Sequences 0–63.
+    first: u64,
+    /// Sequences from 64 on: `rest[k]` holds `64 * (k + 1)..64 * (k + 2)`.
+    rest: Vec<u64>,
 }
 
 impl SeqSet {
-    /// An empty set; it allocates on the first insert.
+    /// An empty set; it allocates only on the first insert past sequence 63.
     pub fn new() -> Self {
         Self::default()
     }
 
     /// Add `seq`. Returns true if it was not in the set, as `HashSet::insert` does.
     pub fn insert(&mut self, seq: u64) -> bool {
-        let (word, bit) = ((seq / 64) as usize, 1 << (seq % 64));
-        if word >= self.words.len() {
-            self.words.resize(word + 1, 0);
-        }
-        let fresh = self.words[word] & bit == 0;
-        self.words[word] |= bit;
+        let bit = 1 << (seq % 64);
+        let word = match (seq / 64) as usize {
+            0 => &mut self.first,
+            w => {
+                if w > self.rest.len() {
+                    self.rest.resize(w, 0);
+                }
+                &mut self.rest[w - 1]
+            }
+        };
+        let fresh = *word & bit == 0;
+        *word |= bit;
         fresh
     }
 
     /// Number of 64-bit words the set holds: one past the largest inserted sequence,
     /// divided by 64 and rounded up.
     pub fn words(&self) -> usize {
-        self.words.len()
+        match self.rest.len() {
+            0 => usize::from(self.first != 0),
+            n => n + 1,
+        }
     }
 }
 

@@ -287,7 +287,9 @@ impl<A: ProtocolAgent> NodeCore<A> {
     /// exactly once per depletion episode (`death_at[li]` guards re-entry). Wakes are
     /// node-local, so they stay on the node's own queue.
     fn note_death<'a, S: Seam<'a, A::Payload>>(&mut self, s: &mut S, li: usize, t: SimTime) {
-        if self.death_at[li].is_none() && self.batteries[li].is_depleted() {
+        // The battery first: the caller has just booked into it, and most calls find it
+        // charged, so `death_at` is read only on the rare depleted call.
+        if self.batteries[li].is_depleted() && self.death_at[li].is_none() {
             self.death_at[li] = Some(t);
             self.first_depletion = Some(self.first_depletion.map_or(t, |f| f.min(t)));
             let node = NodeId(self.owned[li]);
@@ -612,15 +614,18 @@ impl<A: ProtocolAgent> NodeCore<A> {
         };
         self.mac_counts.sent += 1;
         self.mac_counts.access_delay += tx_start.saturating_since(frame.requested_at);
-        self.mac_counts.airtime += radio.tx_duration(size_bytes);
+        let airtime = radio.tx_duration(size_bytes);
+        self.mac_counts.airtime += airtime;
         // Receivers are computed up front (the query is RNG-free, so it cannot move the
         // loss draws below) so distance-based TX power control can price the
         // transmission by its farthest actual receiver.
         let sender_pos = sender_pos.unwrap_or_else(|| s.position(sender, t));
         let mut receivers = std::mem::take(&mut self.scratch_receivers);
         s.receivers_within(sender, range, t, &mut receivers);
-        let tx_end = tx_start + radio.tx_duration(size_bytes);
-        let delivery_at = tx_start + radio.delivery_delay(size_bytes);
+        let tx_end = tx_start + airtime;
+        // `delivery_delay` is `airtime + fixed_delay`, and saturating unsigned addition
+        // is associative, so this is the same instant.
+        let delivery_at = tx_end + radio.fixed_delay;
         let lc = s.setup().lifecycle;
         let tx_range = if lc.tx_power_control {
             // Just enough power to cover the farthest receiver; the zero-range
